@@ -169,12 +169,13 @@ def build_match_graph(
     start_r = np.concatenate(([0], np.cumsum(right.counts[occ_r])))
 
     r_right = field_right.values[occ_r]
+    reach_max = int(r_right.max()) if len(occ_r) else 0
     edges: list[tuple[int, int, int]] = []
     for a, v in enumerate(occ_l):
         rv = int(field_left.values[v])
-        row = window.dist_row(int(v))[occ_r]
-        reach_l = (row >= 0) & (row <= rv)
-        reach_r = (row >= 0) & (row <= r_right)
+        row = window.dist_row(int(v), max(rv, reach_max))[occ_r]
+        reach_l = row <= rv
+        reach_r = row <= r_right
         hit = np.nonzero(reach_l | reach_r)[0]
         if len(hit) == 0:
             continue

@@ -24,7 +24,9 @@ from scipy import stats as spstats
 from . import bipartite, matching as matching_mod, order as order_mod
 from . import processes, radii
 from .errors import CensoringError, ConfigurationError, ContractViolationError
-from .graphs import GraphWindow, ball_size_infinite, spectral_radius
+from .graphs import (
+    GapComponents, GraphWindow, ball_size_infinite, spectral_radius,
+)
 from .seeds import derive_seed, hash_u64, uniform_stream
 
 
@@ -103,7 +105,10 @@ def run_matching_pipeline(
     left_distance = np.full(g.n_left, -1, dtype=np.int64)
     right_distance = np.full(g.n_right, -1, dtype=np.int64)
     for i, j in m.pairs():
-        d = window.distance(int(g.left_vertex[i]), int(g.right_vertex[j]))
+        u, v = int(g.left_vertex[i]), int(g.right_vertex[j])
+        # A matched pair is joined by an edge: within max(R_u, R'_v).
+        reach = max(int(field_left.values[u]), int(field_right.values[v]))
+        d = int(window.dist_row(u, reach)[v])
         left_distance[i] = d
         right_distance[j] = d
     return PipelineResult(
@@ -195,11 +200,9 @@ def curve_from_rows(
     else:
         se = np.zeros(len(radii_list))
     if window.family.kind == "explicit":
+        ones = np.ones(window.n, dtype=np.int64)
         b = [
-            float(np.mean([
-                np.count_nonzero(window.dist_row(int(v)) <= r)
-                for v in window.core
-            ]))
+            float(np.mean(window.ball_counts(ones, r)[window.core]))
             for r in radii_list
         ]
     else:
@@ -313,11 +316,8 @@ def hole_indicator_average(
     ids = np.nonzero(base)[0]
     if len(ids) == 0:
         raise CensoringError("empty base vertex set")
-    holes = 0
-    for v in ids:
-        row = window.dist_row(int(v))
-        if pm.counts[row <= r].sum() == 0:
-            holes += 1
+    near_point = window.dist_from(np.nonzero(pm.counts)[0], r) <= r
+    holes = int(np.count_nonzero(~near_point[ids]))
     return holes / len(ids)
 
 
@@ -634,9 +634,7 @@ def verify_discrepancy(
         u_set = _grow_connected_set(window, start, target, ts)
         mask = np.zeros(len(window.labels), dtype=bool)
         mask[u_set] = True
-        grown = np.zeros(len(window.labels), dtype=bool)
-        for v in u_set:
-            grown |= window.dist_row(int(v)) <= r
+        grown = window.dist_from(u_set, r) <= r
         own = int(pm_l.counts[mask].sum())
         other = int(pm_r.counts[grown].sum())
         lhs.append(other)
@@ -671,13 +669,10 @@ def verify_discrepancy(
 
 
 def set_distance(window: GraphWindow, a, b) -> int:
-    best = None
-    for v in a:
-        row = window.dist_row(int(v))
-        d = int(row[np.asarray(list(b), dtype=np.int64)].min())
-        if best is None or d < best:
-            best = d
-    return int(best)
+    """Least distance between the two vertex sets (UNREACHABLE when no
+    path joins them)."""
+    row = window.dist_from(list(a))
+    return int(row[np.asarray(list(b), dtype=np.int64)].min())
 
 
 def is_rconnected(window: GraphWindow, vertices, r: int) -> bool:
@@ -686,16 +681,7 @@ def is_rconnected(window: GraphWindow, vertices, r: int) -> bool:
     verts = sorted(int(v) for v in set(vertices))
     if not verts:
         return False
-    seen = {verts[0]}
-    q = deque([verts[0]])
-    while q:
-        v = q.popleft()
-        row = window.dist_row(v)
-        for u in verts:
-            if u not in seen and row[u] <= r:
-                seen.add(u)
-                q.append(u)
-    return len(seen) == len(verts)
+    return not GapComponents(window, verts).labels(r).any()
 
 
 @dataclass(frozen=True)
@@ -833,18 +819,14 @@ def sample_rconnected_family(
         else:
             pool = sorted(union)
             anchor = pool[hash_u64(ks, "anchor") % len(pool)]
-            row = window.dist_row(anchor)
-            near = np.nonzero(row <= r)[0]
+            near = np.nonzero(window.dist_row(anchor, r) <= r)[0]
             start = int(near[hash_u64(ks, "start") % len(near)])
         target = 1 + int(hash_u64(ks, "size") % max_size)
         members = {start}
         us = uniform_stream(ks, max(0, target - 1), "grow")
         for step in range(target - 1):
-            frontier = set()
-            for m in members:
-                row = window.dist_row(m)
-                frontier.update(int(x) for x in np.nonzero(row <= r)[0])
-            frontier -= members
+            near = window.dist_from(sorted(members), r) <= r
+            frontier = {int(x) for x in np.nonzero(near)[0]} - members
             if not frontier:
                 break
             opts = sorted(frontier)

@@ -25,13 +25,17 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse import coo_matrix, csr_matrix, identity
+from scipy.sparse.csgraph import (
+    connected_components, dijkstra, minimum_spanning_tree,
+)
 
 from .enumeration import min_rooted_connected_subsets
 from .errors import ConfigurationError, PrecisionError, ResourceError
 
-UNREACHABLE = -1
+#: Distance reported for a vertex out of a query's reach; larger than
+#: every radius, so no ball test ``dist <= r`` admits it.
+UNREACHABLE = np.iinfo(np.int32).max
 
 REGULAR_TREE = "regular_tree"
 LADDER_DIAGONAL = "ladder_diagonal"
@@ -239,9 +243,12 @@ class GraphWindow:
     is index 0.  ``labels[i]`` is the canonical infinite-graph label of
     vertex i (a path tuple for trees, an (n, z) pair for the ladder, the
     original id for explicit graphs).
-    """
 
-    _DENSE_LIMIT = 4096  # precompute the full distance matrix below this
+    Distance queries run on one sparse adjacency and touch only the part
+    of the graph within their limit (``dist_row``, ``dist_from``,
+    ``ball_counts``, ``GapComponents``).  A vertex beyond the limit or
+    unreachable is at distance UNREACHABLE: outside every ball.
+    """
 
     def __init__(
         self,
@@ -260,13 +267,16 @@ class GraphWindow:
             np.asarray(sorted(ns), dtype=np.int32) for ns in neighbors
         )
         self.n = len(self.labels)
-        self._dist: np.ndarray | None = None
-        self._dist_rows: dict[int, np.ndarray] = {}
-        self.depth_from_root = self._bfs_row(0)
-        if self.family.kind == EXPLICIT:
-            self._complete_world = True
-        else:
-            self._complete_world = False
+        indices = np.concatenate((np.empty(0, np.int32),) + self.neighbors)
+        indptr = np.cumsum([0] + [len(ns) for ns in self.neighbors])
+        # Unit weights in float64, the dtype csgraph works in, so that no
+        # query converts the matrix.
+        self._adj = csr_matrix(
+            (np.ones(len(indices)), indices, indptr), shape=(self.n, self.n)
+        )
+        self._reach: list[csr_matrix] = []  # _reach[r]: pairs within r
+        self._complete_world = self.family.kind == EXPLICIT
+        self.depth_from_root = self.dist_row(0) if self.n else indices
 
     # -- construction ------------------------------------------------------
 
@@ -276,57 +286,48 @@ class GraphWindow:
             f"margin={self.core_margin}, n={self.n})"
         )
 
-    def _bfs_row(self, source: int) -> np.ndarray:
-        dist = np.full(self.n, UNREACHABLE, dtype=np.int16)
-        dist[source] = 0
-        q = deque([source])
-        while q:
-            v = q.popleft()
-            dv = dist[v]
-            for w in self.neighbors[v]:
-                if dist[w] == UNREACHABLE:
-                    dist[w] = dv + 1
-                    q.append(w)
-        return dist
-
-    def _ensure_dense(self) -> bool:
-        if self._dist is not None:
-            return True
-        if self.n > self._DENSE_LIMIT:
-            return False
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        for i, ns in enumerate(self.neighbors):
-            indptr[i + 1] = indptr[i] + len(ns)
-        indices = np.concatenate(self.neighbors) if self.n else np.empty(0)
-        data = np.ones(len(indices), dtype=np.int8)
-        adj = csr_matrix((data, indices, indptr), shape=(self.n, self.n))
-        dm = shortest_path(adj, method="D", unweighted=True, directed=False)
-        dm[np.isinf(dm)] = UNREACHABLE
-        self._dist = dm.astype(np.int16)
-        return True
-
     # -- metric queries ----------------------------------------------------
 
-    def distance_matrix(self) -> np.ndarray | None:
-        """The full distance matrix when the window is small enough to
-        precompute it, else None (use dist_row)."""
-        if self._ensure_dense():
-            return self._dist
-        return None
+    def dist_from(self, sources, limit: float | None = None) -> np.ndarray:
+        """Distance from every window vertex to its nearest source.
 
-    def dist_row(self, v: int) -> np.ndarray:
-        """Distances from v to every window vertex (UNREACHABLE = -1)."""
-        if self._ensure_dense():
-            return self._dist[v]
-        row = self._dist_rows.get(v)
-        if row is None:
-            row = self._bfs_row(v)
-            if len(self._dist_rows) < 512:
-                self._dist_rows[v] = row
-        return row
+        Vertices farther than `limit` from every source, or unreachable,
+        get UNREACHABLE.  One multi-source BFS that stops at `limit`: it
+        visits only the vertices within `limit` of the sources.
+        """
+        sources = np.asarray(sources, dtype=np.int32).reshape(-1)
+        if len(sources) == 0:
+            return np.full(self.n, UNREACHABLE, dtype=np.int32)
+        dist = dijkstra(
+            self._adj, indices=sources, min_only=True,
+            limit=np.inf if limit is None else limit,
+        )
+        return np.where(np.isinf(dist), UNREACHABLE, dist).astype(np.int32)
+
+    def dist_row(self, v: int, limit: float | None = None) -> np.ndarray:
+        """Distances from v, UNREACHABLE beyond `limit` (see dist_from)."""
+        return self.dist_from([v], limit)
 
     def distance(self, u: int, v: int) -> int:
         return int(self.dist_row(u)[v])
+
+    def distance_matrix(self) -> np.ndarray:
+        """All-pairs distances, computed afresh on every call: an n^2
+        reference for tests, used by no library code."""
+        return np.stack([self.dist_row(v) for v in range(self.n)])
+
+    def ball_counts(self, weights: np.ndarray, r: int) -> np.ndarray:
+        """weights summed over B_r(v), for every window vertex v.  The
+        within-r relation it keeps is the sum of all radius-r ball sizes:
+        meant for small radii."""
+        if len(self._reach) <= r:
+            closed = identity(self.n, dtype=bool, format="csr")
+            if not self._reach:
+                self._reach.append(closed)
+            step = (self._adj + closed).astype(bool)
+            while len(self._reach) <= r:
+                self._reach.append(self._reach[-1] @ step)
+        return self._reach[r] @ np.asarray(weights, dtype=np.int64)
 
     def ball(self, v: int, r: int) -> tuple[np.ndarray, bool]:
         """Indices within distance r of v, and a completeness flag.
@@ -334,19 +335,19 @@ class GraphWindow:
         The flag is True when the window provably contains the whole
         infinite-graph ball (always, for explicit graphs).
         """
-        row = self.dist_row(v)
-        idx = np.nonzero((row >= 0) & (row <= r))[0]
+        idx = np.nonzero(self.dist_row(v, r) <= r)[0]
         return idx, self.ball_complete(v, r)
 
     def sphere(self, v: int, r: int) -> tuple[np.ndarray, bool]:
-        row = self.dist_row(v)
-        idx = np.nonzero(row == r)[0]
+        idx = np.nonzero(self.dist_row(v, r) == r)[0]
         return idx, self.ball_complete(v, r)
 
-    def ball_complete(self, v: int, r: int) -> bool:
+    def ball_complete(self, v, r: int) -> bool:
+        """Whether B_r(v) lies fully inside the window; for an index
+        array v, whether every such ball does."""
         if self._complete_world:
             return True
-        return int(self.depth_from_root[v]) + r <= self.depth
+        return bool((self.depth_from_root[v] + r <= self.depth).all())
 
     @property
     def core(self) -> np.ndarray:
@@ -368,9 +369,62 @@ class GraphWindow:
         """Infinite-graph ball size for transitive families; root ball
         size for explicit graphs."""
         if self.family.kind == EXPLICIT:
-            row = self.dist_row(0)
-            return int(np.count_nonzero((row >= 0) & (row <= r)))
+            return int(np.count_nonzero(self.dist_row(0, r) <= r))
         return ball_size_infinite(self.family, r)
+
+
+class GapComponents:
+    """Components of a vertex set under gap-proximity, for every gap.
+
+    Members at distance <= g are joined at gap g (single linkage).  One
+    multi-source BFS assigns each vertex to its nearest member, its
+    graph-Voronoi cell.  A window edge (u, w) between the cells of s and
+    t offers the weight d(s, u) + 1 + d(w, t); the minimum spanning tree
+    of these boundary edges is one of the members' distance graph
+    (Mehlhorn, IPL 27, 1988), and cutting it at g leaves the components
+    at g (Gower & Ross, Applied Statistics 18, 1969).  The vertices must
+    be distinct.
+    """
+
+    def __init__(self, window: GraphWindow, vertices):
+        self.vertices = np.asarray(vertices, dtype=np.int64).reshape(-1)
+        self._labels: dict[int, np.ndarray] = {}
+        k, adj = len(self.vertices), window._adj
+        self._tree = coo_matrix((k, k))
+        if k == 0:
+            return
+        dist, _, nearest = dijkstra(
+            adj, indices=self.vertices, min_only=True, return_predecessors=True
+        )
+        # nearest[u] is the member whose cell holds u (< 0: none reached).
+        u = np.repeat(np.arange(window.n), np.diff(adj.indptr))
+        w = adj.indices
+        cross = (u < w) & (nearest[u] != nearest[w])
+        u, w = u[cross], w[cross]
+        pos = np.full(window.n, -1, dtype=np.int64)
+        pos[self.vertices] = np.arange(k)
+        a, b = np.sort([pos[nearest[u]], pos[nearest[w]]], axis=0)
+        weight = dist[u] + 1 + dist[w]
+        # A sparse matrix sums duplicate entries: keep the lightest edge
+        # between each pair of cells (the first one in this order).
+        order = np.lexsort((weight, b, a))
+        keep = order[np.unique(a[order] * k + b[order], return_index=True)[1]]
+        graph = csr_matrix((weight[keep], (a[keep], b[keep])), shape=(k, k))
+        self._tree = minimum_spanning_tree(graph).tocoo()
+
+    def labels(self, gap: int) -> np.ndarray:
+        """Component id of each member (aligned with ``vertices``) at
+        `gap`; ids number the components in order of their first member."""
+        got = self._labels.get(gap)
+        if got is None:
+            t = self._tree
+            keep = t.data <= gap
+            links = coo_matrix(
+                (t.data[keep], (t.row[keep], t.col[keep])), shape=t.shape
+            )
+            got = connected_components(links, directed=False)[1]
+            self._labels[gap] = got
+        return got
 
 
 def build_window(

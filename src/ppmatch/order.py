@@ -53,24 +53,26 @@ class SphereSignature:
 def sphere_signature(
     pm: PointMultiset, window: GraphWindow, v: int, r_max: int
 ) -> SphereSignature:
+    return _signature(window, v, _sphere_counts(pm, window, r_max)[:, v], r_max)
+
+
+def _sphere_counts(pm: PointMultiset, window: GraphWindow, r_max: int) -> np.ndarray:
+    """Point counts on the radius-r spheres of every vertex, r = 0..r_max
+    (one row per r), as differences of ball counts."""
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
-    row = window.dist_row(v)
-    near = row <= r_max
-    counts_all = np.bincount(
-        row[near].astype(np.int64),
-        weights=pm.counts[near].astype(np.float64),
-        minlength=r_max + 1,
-    ).astype(np.int64)
+    balls = np.stack([window.ball_counts(pm.counts, r) for r in range(r_max + 1)])
+    return np.diff(balls, axis=0, prepend=0)
+
+
+def _signature(
+    window: GraphWindow, v: int, counts: np.ndarray, r_max: int
+) -> SphereSignature:
     complete = [window.ball_complete(v, r) for r in range(r_max + 1)]
-    n_keep = 0
-    for flag in complete:
-        if not flag:
-            break
-        n_keep += 1
+    n_keep = complete.index(False) if False in complete else len(complete)
     return SphereSignature(
         vertex=int(v),
-        counts=tuple(int(c) for c in counts_all[:n_keep]),
+        counts=tuple(int(c) for c in counts[:n_keep]),
         complete=tuple(complete),
     )
 
@@ -145,8 +147,9 @@ class OrderFactor:
 def build_order(
     pm: PointMultiset, window: GraphWindow, r_max: int
 ) -> OrderFactor:
-    n = len(window.labels)
-    sigs = tuple(sphere_signature(pm, window, v, r_max) for v in range(n))
+    n = window.n
+    spheres = _sphere_counts(pm, window, r_max)
+    sigs = tuple(_signature(window, v, spheres[:, v], r_max) for v in range(n))
     order = sorted(range(n), key=lambda v: (sigs[v].counts, v))
     rank = np.empty(n, dtype=np.int64)
     rank[np.asarray(order, dtype=np.int64)] = np.arange(n, dtype=np.int64)

@@ -299,7 +299,7 @@ def hole_probability(
             f"origins within {r + dmax} of the probe do not all fit in the window"
         )
     relevant, _ = window.ball(0, min(r + dmax, window.depth))
-    root_dist = window.dist_row(0)
+    root_dist = window.dist_row(0, r)
     distances = np.array([d for d, _ in spec.distance_law], dtype=np.int64)
     cum = np.cumsum([w for _, w in spec.distance_law])
     cum[-1] = 1.0
@@ -329,7 +329,7 @@ def hole_probability(
                 if idx is None:
                     continue
                 target = idx
-            if root_dist[target] >= 0 and root_dist[target] <= r:
+            if root_dist[target] <= r:
                 occupied = True
                 break
         if not occupied:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .enumeration import connected_subsets_containing
 from .errors import ConfigurationError
-from .graphs import EXPLICIT, GraphWindow, ball_size_infinite
+from .graphs import EXPLICIT, GapComponents, GraphWindow, ball_size_infinite
 from .processes import PointMultiset, count_in
 
 CENSORED = -1
@@ -46,19 +46,6 @@ def _as_fraction(threshold) -> Fraction:
         return threshold
     # Decimal-string round trip keeps 0.9 meaning 9/10, not the binary float.
     return Fraction(str(threshold))
-
-
-def _ball_counts(window: GraphWindow, counts: np.ndarray, radius: int) -> np.ndarray:
-    """counts summed over B_radius(v) for every window vertex v."""
-    dm = window.distance_matrix()
-    if dm is not None:
-        mask = (dm >= 0) & (dm <= radius)
-        return mask @ counts.astype(np.int64)
-    out = np.empty(window.n, dtype=np.int64)
-    for v in range(window.n):
-        row = window.dist_row(v)
-        out[v] = counts[(row >= 0) & (row <= radius)].sum()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +79,9 @@ def compute_bad_set(
         raise ConfigurationError(f"r0 must be an even integer >= 2, got {r0}")
     thr = _as_fraction(threshold)
     half = r0 // 2
-    ball = _ball_counts(window, other.counts, half)
+    ball = window.ball_counts(other.counts, half)
     if window.family.kind == EXPLICIT:
-        dm = window.distance_matrix()
-        expected = ((dm >= 0) & (dm <= half)).sum(axis=1).astype(np.int64)
+        expected = window.ball_counts(np.ones(window.n, dtype=np.int64), half)
         censored = np.zeros(window.n, dtype=bool)
     else:
         expected = np.full(
@@ -120,22 +106,22 @@ class ConnectedSetQuery:
     center: int
     gap: int
     size_cap: int
-    radius_cap: int
     count_cap: int = 200_000
 
     def __post_init__(self):
         if self.gap < 1:
             raise ConfigurationError("connectivity gap must be >= 1")
-        if self.radius_cap < 1 or self.count_cap < 1:
+        if self.count_cap < 1:
             raise ConfigurationError("caps must be positive")
 
 
 class _SupportCache:
     """Shared per-(window, process-pair) state for radius computation.
 
-    Caches proximity components of the own-process support per gap, and
-    per (r, component) evaluations of the domination constraint, so that
-    a full radius field costs one component labeling per search radius.
+    Holds the gap-proximity components of the own-process support for
+    every gap at once, and per (r, component) evaluations of the
+    domination constraint, so that a full radius field evaluates each
+    support component once per search radius.
     """
 
     def __init__(self, own: PointMultiset, other: PointMultiset, window: GraphWindow):
@@ -143,41 +129,17 @@ class _SupportCache:
         self.other = other
         self.window = window
         self.supp = own.support
-        self._labels: dict[int, np.ndarray] = {}
+        self._components = GapComponents(window, self.supp)
         self._comp_eval: dict[tuple[int, int], tuple[bool, int, int]] = {}
-
-    def labels(self, gap: int) -> np.ndarray:
-        """Component id per support position under gap-proximity; -1 = unvisited."""
-        got = self._labels.get(gap)
-        if got is not None:
-            return got
-        supp = self.supp
-        lab = np.full(len(supp), -1, dtype=np.int64)
-        nxt = 0
-        for s in range(len(supp)):
-            if lab[s] >= 0:
-                continue
-            lab[s] = nxt
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                row = self.window.dist_row(int(supp[u]))[supp]
-                close = np.nonzero((row >= 0) & (row <= gap) & (lab == -1))[0]
-                lab[close] = nxt
-                stack.extend(int(c) for c in close)
-            nxt += 1
-        self._labels[gap] = lab
-        return lab
 
     def component_of(self, v: int, gap: int) -> np.ndarray:
         """The component of v in the gap-proximity graph on supp + {v}."""
         supp = self.supp
-        lab = self.labels(gap)
+        lab = self._components.labels(gap)
         pos = np.searchsorted(supp, v)
         if pos < len(supp) and supp[pos] == v:
             return supp[lab == lab[pos]]
-        row = self.window.dist_row(v)[supp]
-        near = np.nonzero((row >= 0) & (row <= gap))[0]
+        near = np.nonzero(self.window.dist_row(v, gap)[supp] <= gap)[0]
         if len(near) == 0:
             return np.asarray([v], dtype=np.int64)
         ids = np.unique(lab[near])
@@ -191,11 +153,25 @@ class _SupportCache:
         got = self._comp_eval.get(key)
         if got is not None:
             return got
-        lab = self.labels(4 * r)
+        lab = self._components.labels(4 * r)
         members = self.supp[lab == comp_id]
         res = evaluate_set(self.own, self.other, self.window, members, r)
         self._comp_eval[key] = res
         return res
+
+    def status(self, v: int, r: int) -> str:
+        """The status constraint_holds gives at (v, r) in support mode,
+        without building the witness set that radius fields never read."""
+        gap = 4 * r
+        supp = self.supp
+        pos = np.searchsorted(supp, v)
+        if pos < len(supp) and supp[pos] == v:
+            got = self.evaluate_component(r, int(self._components.labels(gap)[pos]))
+        else:
+            got = evaluate_set(
+                self.own, self.other, self.window, self.component_of(v, gap), r
+            )
+        return _verdict(*got, r)
 
 
 def evaluate_set(
@@ -207,17 +183,9 @@ def evaluate_set(
 ) -> tuple[bool, int, int]:
     """(enlargement complete, |own on U|, |other on U^{+r}|) for a set U."""
     members = np.asarray(members, dtype=np.int64)
-    complete = all(window.ball_complete(int(u), r) for u in members)
+    complete = window.ball_complete(members, r)
     own_count = count_in(own, members)
-    dm = window.distance_matrix()
-    if dm is not None:
-        mask = ((dm[members] >= 0) & (dm[members] <= r)).any(axis=0)
-    else:
-        mask = np.zeros(window.n, dtype=bool)
-        for u in members:
-            row = window.dist_row(int(u))
-            mask |= (row >= 0) & (row <= r)
-    other_count = int(other.counts[mask].sum())
+    other_count = int(other.counts[window.dist_from(members, r) <= r].sum())
     return complete, own_count, other_count
 
 
@@ -239,10 +207,16 @@ def enumerate_rconnected(
         if q.size_cap < 1:
             return [], True
 
+        # The enumeration asks for the same vertex's proximity list once
+        # per extension; one truncated row per vertex serves them all.
+        near_of: dict[int, list[int]] = {}
+
         def prox(u: int) -> list[int]:
-            row = window.dist_row(u)
-            near = np.nonzero((row >= 0) & (row <= q.gap))[0]
-            return [int(w) for w in near if w != u]
+            got = near_of.get(u)
+            if got is None:
+                near = np.nonzero(window.dist_row(u, q.gap) <= q.gap)[0]
+                got = near_of[u] = [int(w) for w in near if w != u]
+            return got
 
         return connected_subsets_containing(
             q.center, prox, max_size=q.size_cap,
@@ -279,7 +253,6 @@ def constraint_holds(
     *,
     size_cap: int | None = None,
     count_cap: int = 200_000,
-    _cache: _SupportCache | None = None,
 ) -> ConstraintResult:
     """Check that the opposite process dominates over every enumerated
     4r-connected set containing v: |other on U^{+r}| >= r * |own on U|.
@@ -293,25 +266,7 @@ def constraint_holds(
         raise ConfigurationError("constraint radius must be >= 1")
     gap = 4 * r
     cap = size_cap if size_cap is not None else window.n
-    q = ConnectedSetQuery(v, gap, cap, max(r, 1), count_cap)
-
-    if mode == SUPPORT and _cache is not None:
-        lab = _cache.labels(gap)
-        supp = _cache.supp
-        pos = np.searchsorted(supp, v)
-        if pos < len(supp) and supp[pos] == v:
-            complete, own_count, other_count = _cache.evaluate_component(
-                r, int(lab[pos])
-            )
-            return _judge(complete, own_count, other_count, r,
-                          lambda: frozenset(int(u) for u in
-                                            _cache.component_of(v, gap)))
-        members = _cache.component_of(v, gap)
-        complete, own_count, other_count = evaluate_set(
-            own, other, window, members, r
-        )
-        return _judge(complete, own_count, other_count, r,
-                      lambda: frozenset(int(u) for u in members))
+    q = ConnectedSetQuery(v, gap, cap, count_cap)
 
     sets, truncated = enumerate_rconnected(own, window, q, mode)
     censored_any = False
@@ -319,16 +274,10 @@ def constraint_holds(
     for u_set in sets:
         checked += 1
         members = np.fromiter(u_set, dtype=np.int64)
-        complete, own_count, other_count = evaluate_set(
-            own, other, window, members, r
-        )
-        rhs = r * own_count
-        if rhs == 0:
-            continue
-        if not complete:
+        status = _verdict(*evaluate_set(own, other, window, members, r), r)
+        if status == CENSORED_STATUS:
             censored_any = True
-            continue
-        if other_count < rhs:
+        elif status == VIOLATED:
             return ConstraintResult(VIOLATED, u_set, checked)
     if censored_any:
         return ConstraintResult(CENSORED_STATUS, None, checked)
@@ -337,15 +286,15 @@ def constraint_holds(
     return ConstraintResult(HOLDS, None, checked)
 
 
-def _judge(complete, own_count, other_count, r, witness_fn) -> ConstraintResult:
+def _verdict(complete: bool, own_count: int, other_count: int, r: int) -> str:
+    """Verdict on one set: a set whose right-hand side is zero holds
+    wherever it lies; otherwise an incomplete enlargement censors."""
     rhs = r * own_count
     if rhs == 0:
-        return ConstraintResult(HOLDS, None, 1)
+        return HOLDS
     if not complete:
-        return ConstraintResult(CENSORED_STATUS, None, 1)
-    if other_count < rhs:
-        return ConstraintResult(VIOLATED, witness_fn(), 1)
-    return ConstraintResult(HOLDS, None, 1)
+        return CENSORED_STATUS
+    return VIOLATED if other_count < rhs else HOLDS
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +355,8 @@ def compute_radius_field(
     bad = compute_bad_set(other, window, r0, threshold)
     half = r0 // 2
 
-    bad_near = _ball_counts(window, bad.member.astype(np.int64), half) > 0
-    cens_near = _ball_counts(window, bad.censored.astype(np.int64), half) > 0
+    bad_near = window.ball_counts(bad.member, half) > 0
+    cens_near = window.ball_counts(bad.censored, half) > 0
     if window.family.kind == EXPLICIT:
         ball_ok = np.ones(window.n, dtype=bool)
     else:
@@ -431,11 +380,14 @@ def compute_radius_field(
         v = int(v)
         resolved = False
         for r in range(r0 + 1, cap + 1):
-            res = constraint_holds(
-                own, other, window, v, r, mode,
-                size_cap=size_cap, count_cap=count_cap, _cache=cache,
-            )
-            if res.status == HOLDS:
+            if cache is not None:
+                status = cache.status(v, r)
+            else:
+                status = constraint_holds(
+                    own, other, window, v, r, mode,
+                    size_cap=size_cap, count_cap=count_cap,
+                ).status
+            if status == HOLDS:
                 values[v] = r
                 clause[v] = 2
                 resolved = True
@@ -474,27 +426,13 @@ def components_above(
     if len(members) == 0:
         return []
     gap = 4 * r
-    lab = np.full(len(members), -1, dtype=np.int64)
-    nxt = 0
-    for s in range(len(members)):
-        if lab[s] >= 0:
-            continue
-        lab[s] = nxt
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            row = window.dist_row(int(members[u]))[members]
-            close = np.nonzero((row >= 0) & (row <= gap) & (lab == -1))[0]
-            lab[close] = nxt
-            stack.extend(int(c) for c in close)
-        nxt += 1
+    lab = GapComponents(window, members).labels(gap)
     out = []
-    for cid in range(nxt):
+    for cid in range(int(lab.max()) + 1):
         verts = members[lab == cid]
-        diam = 0
-        for u in verts:
-            row = window.dist_row(int(u))[verts]
-            diam = max(diam, int(row.max()))
+        # Members of a gap-connected set lie within (size - 1) * gap.
+        limit = (len(verts) - 1) * gap
+        diam = max(int(window.dist_row(int(u), limit)[verts].max()) for u in verts)
         out.append(
             Component(
                 tuple(int(v) for v in verts),

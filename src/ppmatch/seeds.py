@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 MASK64 = (1 << 64) - 1
 _INV_U64 = 1.0 / float(1 << 64)
 
@@ -23,9 +25,26 @@ def _hasher(seed: int, digest_size: int) -> "hashlib._Hash":
     return hashlib.blake2b(key=key, digest_size=digest_size)
 
 
+def _canonical(part):
+    """`part` with NumPy integers turned into Python ints, so that
+    ``np.int64(3)`` keys the same stream as ``3``.  Parts are strings,
+    integers and tuples of them; anything else is rejected."""
+    kind = type(part)
+    if kind is str or kind is int:
+        return part
+    if kind is tuple:  # vertex labels, the hot path, hold plain ints
+        plain = set(map(type, part)) <= {int, str}
+        return part if plain else tuple(map(_canonical, part))
+    if isinstance(part, np.integer):
+        return int(part)
+    raise ConfigurationError(
+        f"seed parts must be str, int or tuples of them, got {kind.__name__}"
+    )
+
+
 def _feed(h, parts) -> None:
     for part in parts:
-        h.update(repr(part).encode("utf-8"))
+        h.update(repr(_canonical(part)).encode("utf-8"))
         h.update(b"\x1f")
 
 

@@ -94,6 +94,9 @@ def test_constraint_holds_vacuous_and_violated():
     res = radii.constraint_holds(own, other, w, 2, 1, mode=radii.EXACT, size_cap=5)
     assert res.status == radii.VIOLATED
     assert 2 in res.witness
+    res_s = radii.constraint_holds(own, other, w, 2, 1, mode=radii.SUPPORT)
+    assert res_s.status == radii.VIOLATED
+    assert res_s.witness == frozenset({2})
     # No own points anywhere: every set is vacuous.
     res2 = radii.constraint_holds(empty_set(w), other, w, 2, 1, mode=radii.EXACT, size_cap=5)
     assert res2.status == radii.HOLDS
@@ -108,7 +111,7 @@ def test_support_mode_checks_single_component():
     w = build_window(fam, 0, 0)
     own = processes.multiset_from_counts([1, 0, 0, 0, 0, 0, 0, 0, 1])
     other = v_set(w)
-    q = radii.ConnectedSetQuery(0, 4, 9, 1)
+    q = radii.ConnectedSetQuery(0, 4, 9)
     sets, truncated = radii.enumerate_rconnected(own, w, q, mode=radii.SUPPORT)
     assert not truncated
     assert len(sets) == 1
@@ -119,7 +122,7 @@ def test_support_mode_checks_single_component():
 def test_exact_mode_enumerates_all_gap_connected_sets():
     fam = GraphFamily.explicit([[1], [0, 2], [1, 3], [2]])
     w = build_window(fam, 0, 0)
-    q = radii.ConnectedSetQuery(1, 1, 4, 1)
+    q = radii.ConnectedSetQuery(1, 1, 4)
     sets, truncated = radii.enumerate_rconnected(None, w, q, mode=radii.EXACT)
     assert not truncated
     # Intervals of the 4-path through vertex 1

@@ -1,16 +1,46 @@
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from ppmatch import seeds
+from ppmatch.errors import ConfigurationError
 
 
 def test_hash_is_stable():
     # Frozen values: these must never change across releases, or every
     # seeded artifact changes under users' feet.
-    assert seeds.hash_u64(1) == seeds.hash_u64(1)
-    assert seeds.derive_seed(7, "left") == seeds.derive_seed(7, "left")
+    assert seeds.hash_u64(1) == 2210062140993465007
+    assert seeds.hash_u64(20260825, "count", (0, 1, 1)) == 7109367318237915828
+    assert seeds.derive_seed(7, "left") == 681552877224816610
+    assert seeds.derive_seed(7, "trial", 3) == 15536918471506376601
+    assert seeds.unit_uniform(11, "disp", (4, 1)) == float.fromhex(
+        "0x1.6c04939b5c282p-2"
+    )
+    assert [x.hex() for x in seeds.uniform_stream(5, 4, "demo")] == [
+        "0x1.8855d02c28748p-1", "0x1.024534469881ap-2",
+        "0x1.464d8a09a3058p-6", "0x1.a5fba3fd59cfcp-4",
+    ]
     assert seeds.derive_seed(7, "left") != seeds.derive_seed(7, "right")
     assert seeds.derive_seed(7, "a", 1) != seeds.derive_seed(7, "a", 2)
+
+
+def test_numpy_integer_parts_key_like_python_ints():
+    assert seeds.derive_seed(7, "trial", np.int64(3)) == seeds.derive_seed(
+        7, "trial", 3
+    )
+    assert seeds.hash_u64(5, (np.int32(0), np.int64(2))) == seeds.hash_u64(
+        5, (0, 2)
+    )
+    np.testing.assert_array_equal(
+        seeds.uniform_stream(5, 9, "p", np.uint8(4)),
+        seeds.uniform_stream(5, 9, "p", 4),
+    )
+
+
+@pytest.mark.parametrize("part", [1.5, True, np.bool_(False), None, b"x", [1]])
+def test_unsupported_seed_parts_are_rejected(part):
+    with pytest.raises(ConfigurationError):
+        seeds.derive_seed(7, "trial", part)
 
 
 def test_unit_uniform_range():
