@@ -351,27 +351,10 @@ def _cmd_sample(cfg: RunConfig) -> dict:
     }
 
 
-def _fields(cfg: RunConfig, w: GraphWindow):
-    left = processes.sample(cfg.spec_left, w, derive_seed(cfg.seed, "left"))
-    right = processes.sample(cfg.spec_right, w, derive_seed(cfg.seed, "right"))
-    pc = cfg.pipeline
-    kwargs = {}
-    if pc.radius_cap is not None:
-        kwargs["radius_cap"] = pc.radius_cap
-    fl = radii.compute_radius_field(
-        left, right, w, pc.r0, mode=pc.mode, size_cap=pc.size_cap,
-        side="left", **kwargs,
-    )
-    fr = radii.compute_radius_field(
-        right, left, w, pc.r0, mode=pc.mode, size_cap=pc.size_cap,
-        side="right", **kwargs,
-    )
-    return left, right, fl, fr
-
-
 def _cmd_radii(cfg: RunConfig) -> dict:
-    w = cfg.window()
-    left, right, fl, fr = _fields(cfg, w)
+    left, right, fl, fr = experiments.sample_radius_fields(
+        cfg.window(), cfg.spec_left, cfg.spec_right, cfg.seed, cfg.pipeline
+    )
     _write(cfg, "radii_left.csv", _radii_csv(fl))
     _write(cfg, "radii_right.csv", _radii_csv(fr))
     return {
@@ -461,7 +444,7 @@ def _cmd_verify(cfg: RunConfig) -> dict:
                 cfg.trials, derive_seed(cfg.seed, "dom"),
             )
         elif name == "greedy":
-            rep = _greedy_report(cfg, w)
+            rep = experiments.verify_greedy(w, cfg.trials, cfg.seed)
         elif name == "pn":
             res = experiments.run_matching_pipeline(
                 w, cfg.spec_left, cfg.spec_right,
@@ -495,31 +478,6 @@ def _cmd_verify(cfg: RunConfig) -> dict:
             "stderr": rep.stderr,
         }
     return headline
-
-
-def _greedy_report(cfg: RunConfig, w: GraphWindow) -> experiments.LemmaReport:
-    lhs = []
-    rhs = []
-    fails = 0
-    for t in range(cfg.trials):
-        sets, u, v = experiments.sample_rconnected_family(
-            w, 1, 4, 4, derive_seed(cfg.seed, "greedy", t)
-        )
-        g = experiments.greedy_sparse_subpath(w, sets, u, v, 1)
-        lhs.append(g.bound_value)
-        rhs.append(g.distance_uv)
-        if not (g.pairwise_ok and g.gap_ok and g.endpoint_ok and g.bound_ok):
-            fails += 1
-    rep = experiments.LemmaReport(
-        lemma_id="greedy_subpath",
-        n_trials=cfg.trials,
-        lhs=tuple(float(x) for x in lhs),
-        rhs=tuple(float(x) for x in rhs),
-        violations=fails,
-        stderr=0.0,
-        extras={"condition_failures": fails},
-    )
-    return rep
 
 
 def _cmd_demo_ladder(cfg: RunConfig) -> dict:

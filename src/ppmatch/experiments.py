@@ -75,6 +75,29 @@ class PipelineResult:
         return ~(self.field_left.censored | self.field_right.censored)
 
 
+def sample_radius_fields(
+    window: GraphWindow,
+    spec_left: processes.ProcessSpec,
+    spec_right: processes.ProcessSpec,
+    seed: int,
+    cfg: PipelineConfig,
+) -> tuple[processes.PointMultiset, processes.PointMultiset,
+           radii.RadiusField, radii.RadiusField]:
+    """The first half of a pipeline run: both samples and both radius
+    fields, (left, right, field_left, field_right)."""
+    left = processes.sample(spec_left, window, derive_seed(seed, "left"))
+    right = processes.sample(spec_right, window, derive_seed(seed, "right"))
+    field_left = radii.compute_radius_field(
+        left, right, window, cfg.r0, mode=cfg.mode,
+        radius_cap=cfg.radius_cap, size_cap=cfg.size_cap, side="left",
+    )
+    field_right = radii.compute_radius_field(
+        right, left, window, cfg.r0, mode=cfg.mode,
+        radius_cap=cfg.radius_cap, size_cap=cfg.size_cap, side="right",
+    )
+    return left, right, field_left, field_right
+
+
 def run_matching_pipeline(
     window: GraphWindow,
     spec_left: processes.ProcessSpec,
@@ -82,18 +105,8 @@ def run_matching_pipeline(
     seed: int,
     cfg: PipelineConfig,
 ) -> PipelineResult:
-    left = processes.sample(spec_left, window, derive_seed(seed, "left"))
-    right = processes.sample(spec_right, window, derive_seed(seed, "right"))
-    kwargs = {}
-    if cfg.radius_cap is not None:
-        kwargs["radius_cap"] = cfg.radius_cap
-    field_left = radii.compute_radius_field(
-        left, right, window, cfg.r0,
-        mode=cfg.mode, size_cap=cfg.size_cap, side="left", **kwargs,
-    )
-    field_right = radii.compute_radius_field(
-        right, left, window, cfg.r0,
-        mode=cfg.mode, size_cap=cfg.size_cap, side="right", **kwargs,
+    left, right, field_left, field_right = sample_radius_fields(
+        window, spec_left, spec_right, seed, cfg
     )
     g = bipartite.build_match_graph(left, right, field_left, field_right, window)
     of = order_mod.build_order(left, window, cfg.resolved_order_r_max(window))
@@ -412,11 +425,7 @@ def verify_chebyshev(
         in_a = np.asarray(set_generator(pm), dtype=bool)
         if in_a.shape != (len(window.labels),):
             raise ContractViolationError("set generator must flag every vertex")
-        in_na = np.zeros(len(window.labels), dtype=bool)
-        for v in range(len(window.labels)):
-            nb = window.neighbors[v]
-            if in_a[nb].any():
-                in_na[v] = True
+        in_na = window.ball_counts(in_a, 1) > in_a
         p_hat = float(in_a[core_ids].mean())
         p_prime = float(in_na[core_ids].mean())
         denom = rho2 * (1.0 - p_hat) + p_hat
@@ -797,6 +806,31 @@ def greedy_sparse_subpath(
         bound_ok=duv <= bound,
         distance_uv=duv,
         bound_value=bound,
+    )
+
+
+def verify_greedy(window: GraphWindow, trials: int, seed: int) -> LemmaReport:
+    """Greedy sparse subpath conditions on random families of four
+    1-connected sets of up to four vertices; a violation is a trial in
+    which any of the exact conditions fails."""
+    runs = []
+    for t in range(trials):
+        sets, u, v = sample_rconnected_family(
+            window, 1, 4, 4, derive_seed(seed, "greedy", t)
+        )
+        runs.append(greedy_sparse_subpath(window, sets, u, v, 1))
+    fails = sum(
+        not (g.pairwise_ok and g.gap_ok and g.endpoint_ok and g.bound_ok)
+        for g in runs
+    )
+    return LemmaReport(
+        lemma_id="greedy_subpath",
+        n_trials=trials,
+        lhs=tuple(float(g.bound_value) for g in runs),
+        rhs=tuple(float(g.distance_uv) for g in runs),
+        violations=fails,
+        stderr=0.0,
+        extras={"condition_failures": fails},
     )
 
 

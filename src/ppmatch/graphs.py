@@ -384,6 +384,10 @@ class GapComponents:
     (Mehlhorn, IPL 27, 1988), and cutting it at g leaves the components
     at g (Gower & Ross, Applied Statistics 18, 1969).  The vertices must
     be distinct.
+
+    The BFS is kept: ``near[u]`` is the distance from window vertex u to
+    its nearest member (UNREACHABLE: none reachable), ``cell[u]`` that
+    member's position in ``vertices`` (-1: none).
     """
 
     def __init__(self, window: GraphWindow, vertices):
@@ -391,18 +395,23 @@ class GapComponents:
         self._labels: dict[int, np.ndarray] = {}
         k, adj = len(self.vertices), window._adj
         self._tree = coo_matrix((k, k))
+        self.near = np.full(window.n, UNREACHABLE, dtype=np.int32)
+        self.cell = np.full(window.n, -1, dtype=np.int64)
         if k == 0:
             return
         dist, _, nearest = dijkstra(
             adj, indices=self.vertices, min_only=True, return_predecessors=True
         )
         # nearest[u] is the member whose cell holds u (< 0: none reached).
+        pos = np.full(window.n, -1, dtype=np.int64)
+        pos[self.vertices] = np.arange(k)
+        reached = nearest >= 0
+        self.near[reached] = dist[reached]
+        self.cell[reached] = pos[nearest[reached]]
         u = np.repeat(np.arange(window.n), np.diff(adj.indptr))
         w = adj.indices
         cross = (u < w) & (nearest[u] != nearest[w])
         u, w = u[cross], w[cross]
-        pos = np.full(window.n, -1, dtype=np.int64)
-        pos[self.vertices] = np.arange(k)
         a, b = np.sort([pos[nearest[u]], pos[nearest[w]]], axis=0)
         weight = dist[u] + 1 + dist[w]
         # A sparse matrix sums duplicate entries: keep the lightest edge

@@ -147,7 +147,9 @@ def find_chains(
 
     Depth-bounded alternating DFS from each unmatched left point; a
     chain has a unique unmatched left endpoint, so no deduplication is
-    needed.  Exceeding `cap` chains raises ResourceError.
+    needed.  Exceeding `cap` chains raises ResourceError.  The DFS keeps
+    its own stack, one neighbor iterator per left point on the path, so
+    chain length is not bounded by Python's recursion limit.
     """
     if max_len < 2:
         return []
@@ -156,32 +158,33 @@ def find_chains(
     n_left = g.n_left
     chains: list[Chain] = []
 
-    def extend(i: int, path: list[int], onpath: set[int]) -> None:
-        for j in g.right_neighbors(i):
-            jg = n_left + int(j)
-            if jg in onpath or m.matchL[i] == j:
-                continue
-            partner = int(m.matchR[j])
-            if partner == -1:
-                chains.append(Chain.canonical(path + [jg], ranks))
-                if len(chains) > cap:
-                    raise ResourceError(
-                        f"{stage_label}: more than {cap} chains"
-                    )
-            elif len(path) + 2 <= max_points and partner not in onpath:
-                path.append(jg)
-                path.append(partner)
-                onpath.add(jg)
-                onpath.add(partner)
-                extend(partner, path, onpath)
-                onpath.discard(partner)
-                onpath.discard(jg)
-                path.pop()
-                path.pop()
-
-    for i in range(n_left):
-        if m.matchL[i] == -1:
-            extend(int(i), [int(i)], {int(i)})
+    for root in range(n_left):
+        if m.matchL[root] != -1:
+            continue
+        path, onpath = [root], {root}
+        stack = [iter(g.right_neighbors(root))]
+        while stack:
+            i = path[-1]
+            for j in stack[-1]:
+                jg = n_left + int(j)
+                if jg in onpath or m.matchL[i] == j:
+                    continue
+                partner = int(m.matchR[j])
+                if partner == -1:
+                    chains.append(Chain.canonical(path + [jg], ranks))
+                    if len(chains) > cap:
+                        raise ResourceError(
+                            f"{stage_label}: more than {cap} chains"
+                        )
+                elif len(path) + 2 <= max_points and partner not in onpath:
+                    path += [jg, partner]
+                    onpath.update((jg, partner))
+                    stack.append(iter(g.right_neighbors(partner)))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    onpath.difference_update((path.pop(), path.pop()))
     return chains
 
 
@@ -637,14 +640,29 @@ def hopcroft_karp(g: MatchGraph) -> tuple[int, np.ndarray]:
                     q.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in g.right_neighbors(u):
-            w = int(pair_v[v])
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_u[u] = v
-                pair_v[v] = u
-                return True
-        dist[u] = INF
+    def dfs(root: int) -> bool:
+        """Augment along a layered path from root, on an explicit stack
+        of (left vertex, neighbor iterator); via[k] leads to stack[k+1]."""
+        stack = [(root, iter(g.right_neighbors(root)))]
+        via: list[int] = []
+        while stack:
+            u, nbrs = stack[-1]
+            for v in nbrs:
+                w = int(pair_v[v])
+                if w == -1:
+                    for (x, _), y in zip(stack, via + [v]):
+                        pair_u[x] = y
+                        pair_v[y] = x
+                    return True
+                if dist[w] == dist[u] + 1:
+                    via.append(v)
+                    stack.append((w, iter(g.right_neighbors(w))))
+                    break
+            else:
+                dist[u] = INF
+                stack.pop()
+                if via:
+                    via.pop()
         return False
 
     size = 0

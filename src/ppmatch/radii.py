@@ -8,10 +8,11 @@ radius r at which the opposite process dominates the own process over
 an enumerated family of 4r-connected vertex sets containing it.
 
 Enumeration runs in one of two modes.  Exact mode walks every
-4r-connected subset of the window containing the vertex (test oracle,
-exponential).  Support mode checks only the connected component of the
-vertex in the 4r-proximity graph on the occupied vertices, a documented
-under-approximation that can only lower the resulting radius.
+4r-connected subset of the window containing the vertex (the per-vertex
+test oracle, exponential).  Support mode checks only the connected
+component of the vertex in the 4r-proximity graph on the occupied
+vertices, a documented under-approximation that can only lower the
+resulting radius; its fields take one vectorised pass per radius.
 
 Any quantity whose value would depend on data outside the window is
 explicitly censored, never silently defaulted.
@@ -27,7 +28,7 @@ import numpy as np
 
 from .enumeration import connected_subsets_containing
 from .errors import ConfigurationError
-from .graphs import EXPLICIT, GapComponents, GraphWindow, ball_size_infinite
+from .graphs import EXPLICIT, GapComponents, GraphWindow
 from .processes import PointMultiset, count_in
 
 CENSORED = -1
@@ -69,6 +70,13 @@ class BadSet:
         return int(np.count_nonzero(self.member))
 
 
+def _ball_ok(window: GraphWindow, r: int) -> np.ndarray:
+    """Per vertex, whether B_r(v) lies fully inside the window."""
+    if window.family.kind == EXPLICIT:
+        return np.ones(window.n, dtype=bool)
+    return (window.depth_from_root.astype(np.int64) + r) <= window.depth
+
+
 def compute_bad_set(
     other: PointMultiset,
     window: GraphWindow,
@@ -80,14 +88,10 @@ def compute_bad_set(
     thr = _as_fraction(threshold)
     half = r0 // 2
     ball = window.ball_counts(other.counts, half)
-    if window.family.kind == EXPLICIT:
-        expected = window.ball_counts(np.ones(window.n, dtype=np.int64), half)
-        censored = np.zeros(window.n, dtype=bool)
-    else:
-        expected = np.full(
-            window.n, ball_size_infinite(window.family, half), dtype=np.int64
-        )
-        censored = (window.depth_from_root.astype(np.int64) + half) > window.depth
+    # A half-ball inside the window is the whole infinite-graph ball, so
+    # its window size is the expected count; other vertices are censored.
+    expected = window.ball_counts(np.ones(window.n, dtype=np.int64), half)
+    censored = ~_ball_ok(window, half)
     member = (~censored) & (ball * thr.denominator <= thr.numerator * expected)
     member.setflags(write=False)
     censored.setflags(write=False)
@@ -113,80 +117,6 @@ class ConnectedSetQuery:
             raise ConfigurationError("connectivity gap must be >= 1")
         if self.count_cap < 1:
             raise ConfigurationError("caps must be positive")
-
-
-class _SupportCache:
-    """Shared per-(window, process-pair) state for radius computation.
-
-    Holds the gap-proximity components of the own-process support for
-    every gap at once, and per (r, component) evaluations of the
-    domination constraint, so that a full radius field evaluates each
-    support component once per search radius.
-    """
-
-    def __init__(self, own: PointMultiset, other: PointMultiset, window: GraphWindow):
-        self.own = own
-        self.other = other
-        self.window = window
-        self.supp = own.support
-        self._components = GapComponents(window, self.supp)
-        self._comp_eval: dict[tuple[int, int], tuple[bool, int, int]] = {}
-
-    def component_of(self, v: int, gap: int) -> np.ndarray:
-        """The component of v in the gap-proximity graph on supp + {v}."""
-        supp = self.supp
-        lab = self._components.labels(gap)
-        pos = np.searchsorted(supp, v)
-        if pos < len(supp) and supp[pos] == v:
-            return supp[lab == lab[pos]]
-        near = np.nonzero(self.window.dist_row(v, gap)[supp] <= gap)[0]
-        if len(near) == 0:
-            return np.asarray([v], dtype=np.int64)
-        ids = np.unique(lab[near])
-        members = supp[np.isin(lab, ids)]
-        return np.unique(np.concatenate((members, [v])))
-
-    def evaluate_component(self, r: int, comp_id: int) -> tuple[bool, int, int]:
-        """(complete, own count, other count on the r-enlargement) for a
-        support component under gap 4r."""
-        key = (r, comp_id)
-        got = self._comp_eval.get(key)
-        if got is not None:
-            return got
-        lab = self._components.labels(4 * r)
-        members = self.supp[lab == comp_id]
-        res = evaluate_set(self.own, self.other, self.window, members, r)
-        self._comp_eval[key] = res
-        return res
-
-    def status(self, v: int, r: int) -> str:
-        """The status constraint_holds gives at (v, r) in support mode,
-        without building the witness set that radius fields never read."""
-        gap = 4 * r
-        supp = self.supp
-        pos = np.searchsorted(supp, v)
-        if pos < len(supp) and supp[pos] == v:
-            got = self.evaluate_component(r, int(self._components.labels(gap)[pos]))
-        else:
-            got = evaluate_set(
-                self.own, self.other, self.window, self.component_of(v, gap), r
-            )
-        return _verdict(*got, r)
-
-
-def evaluate_set(
-    own: PointMultiset,
-    other: PointMultiset,
-    window: GraphWindow,
-    members: np.ndarray,
-    r: int,
-) -> tuple[bool, int, int]:
-    """(enlargement complete, |own on U|, |other on U^{+r}|) for a set U."""
-    members = np.asarray(members, dtype=np.int64)
-    complete = window.ball_complete(members, r)
-    own_count = count_in(own, members)
-    other_count = int(other.counts[window.dist_from(members, r) <= r].sum())
-    return complete, own_count, other_count
 
 
 def enumerate_rconnected(
@@ -226,8 +156,9 @@ def enumerate_rconnected(
         raise ConfigurationError(f"unknown enumeration mode {mode!r}")
     if pm is None:
         raise ConfigurationError("support mode needs the own-side multiset")
-    cache = _SupportCache(pm, pm, window)
-    comp = cache.component_of(q.center, q.gap)
+    verts = np.union1d(pm.support, [q.center])
+    lab = GapComponents(window, verts).labels(q.gap)
+    comp = verts[lab == lab[np.searchsorted(verts, q.center)]]
     return [frozenset(int(u) for u in comp)], False
 
 
@@ -241,6 +172,13 @@ class ConstraintResult:
     status: str
     witness: frozenset[int] | None = None
     sets_checked: int = 0
+
+
+def _holds(complete, own_count, other_count, r: int):
+    """The domination rule, on scalars or elementwise on arrays: a set
+    with no own points holds wherever it lies; any other set needs a
+    complete r-enlargement carrying at least r times its own count."""
+    return (own_count == 0) | (complete & (other_count >= r * own_count))
 
 
 def constraint_holds(
@@ -274,27 +212,20 @@ def constraint_holds(
     for u_set in sets:
         checked += 1
         members = np.fromiter(u_set, dtype=np.int64)
-        status = _verdict(*evaluate_set(own, other, window, members, r), r)
-        if status == CENSORED_STATUS:
+        complete = window.ball_complete(members, r)
+        own_count = count_in(own, members)
+        other_count = int(other.counts[window.dist_from(members, r) <= r].sum())
+        if _holds(complete, own_count, other_count, r):
+            continue
+        if not complete:
             censored_any = True
-        elif status == VIOLATED:
+        else:
             return ConstraintResult(VIOLATED, u_set, checked)
     if censored_any:
         return ConstraintResult(CENSORED_STATUS, None, checked)
     if truncated:
         return ConstraintResult(TRUNCATED, None, checked)
     return ConstraintResult(HOLDS, None, checked)
-
-
-def _verdict(complete: bool, own_count: int, other_count: int, r: int) -> str:
-    """Verdict on one set: a set whose right-hand side is zero holds
-    wherever it lies; otherwise an incomplete enlargement censors."""
-    rhs = r * own_count
-    if rhs == 0:
-        return HOLDS
-    if not complete:
-        return CENSORED_STATUS
-    return VIOLATED if other_count < rhs else HOLDS
 
 
 # ---------------------------------------------------------------------------
@@ -356,50 +287,95 @@ def compute_radius_field(
     half = r0 // 2
 
     bad_near = window.ball_counts(bad.member, half) > 0
+    # Also set where v's own half-ball leaves the window: v lies in it.
     cens_near = window.ball_counts(bad.censored, half) > 0
-    if window.family.kind == EXPLICIT:
-        ball_ok = np.ones(window.n, dtype=bool)
-    else:
-        ball_ok = (window.depth_from_root.astype(np.int64) + half) <= window.depth
 
     values = np.full(window.n, CENSORED, dtype=np.int32)
     clause = np.zeros(window.n, dtype=np.int8)
     censored = np.zeros(window.n, dtype=bool)
 
-    clause1 = ball_ok & ~bad_near & ~cens_near & (own.counts <= r0)
+    clause1 = ~bad_near & ~cens_near & (own.counts <= r0)
     # A definite deficient vertex nearby settles clause 1 negatively even
     # when parts of the ball are censored.
-    undecidable = ~bad_near & (~ball_ok | cens_near)
+    undecidable = ~bad_near & cens_near
     values[clause1] = r0
     clause[clause1] = 1
     censored[undecidable] = True
 
     pending = np.nonzero(~clause1 & ~undecidable)[0]
-    cache = _SupportCache(own, other, window) if mode == SUPPORT else None
-    for v in pending:
-        v = int(v)
-        resolved = False
-        for r in range(r0 + 1, cap + 1):
-            if cache is not None:
-                status = cache.status(v, r)
-            else:
+    if mode == SUPPORT:
+        found = _support_radii(own, other, window, pending, r0, cap)
+    else:
+        found = np.zeros(len(pending), dtype=np.int32)
+        for k, v in enumerate(pending):
+            for r in range(r0 + 1, cap + 1):
                 status = constraint_holds(
-                    own, other, window, v, r, mode,
+                    own, other, window, int(v), r, mode,
                     size_cap=size_cap, count_cap=count_cap,
                 ).status
-            if status == HOLDS:
-                values[v] = r
-                clause[v] = 2
-                resolved = True
-                break
-        if not resolved:
-            censored[v] = True
+                if status == HOLDS:
+                    found[k] = r
+                    break
+    settled = found > 0
+    values[pending[settled]] = found[settled]
+    clause[pending[settled]] = 2
+    censored[pending[~settled]] = True
 
     for a in (values, clause, censored):
         a.setflags(write=False)
     return RadiusField(
         values, censored, clause, side, mode, r0, cap, size_cap, bad
     )
+
+
+def _support_radii(
+    own: PointMultiset, other: PointMultiset, window: GraphWindow,
+    pending: np.ndarray, r0: int, cap: int,
+) -> np.ndarray:
+    """The least r in r0+1..cap at which the support-mode constraint
+    holds, per pending vertex (0 where none does).
+
+    At radius r the set of a support vertex is its gap-4r component.
+    Such components are more than 4r apart, so their r-enlargements are
+    disjoint, and a vertex within r of the support lies only in that of
+    its nearest member's component.  An off-support vertex v joins the
+    components within 4r of it; no other enlargement meets B_r(v).
+    """
+    supp = own.support
+    comps = GapComponents(window, supp)
+    found = np.zeros(len(pending), dtype=np.int32)
+    on = np.nonzero(np.isin(pending, supp))[0]
+    member = np.searchsorted(supp, pending[on])
+    tables = []
+    for r in range(r0 + 1, cap + 1):
+        lab = comps.labels(4 * r)
+        ok = _ball_ok(window, r)
+        within = comps.near <= r
+        # Per component: complete, own count, other count on C^{+r}.
+        table = (
+            np.bincount(lab, ~ok[supp]) == 0,
+            np.bincount(lab, own.counts[supp]),
+            np.bincount(lab[comps.cell[within]], other.counts[within]),
+        )
+        tables.append((r, lab, ok, table))
+        holds = _holds(*table, r)[lab[member]]
+        found[on[holds & (found[on] == 0)]] = r
+
+    for k in np.setdiff1d(np.arange(len(pending)), on):
+        v = int(pending[k])
+        row = window.dist_row(v, 4 * cap)
+        for r, lab, ok, (complete, own_c, other_c) in tables:
+            ids = np.unique(lab[row[supp] <= 4 * r])
+            bare = (row <= r) & (comps.near > r)
+            if _holds(
+                ok[v] & complete[ids].all(),
+                own_c[ids].sum(),
+                other_c[ids].sum() + other.counts[bare].sum(),
+                r,
+            ):
+                found[k] = r
+                break
+    return found
 
 
 # ---------------------------------------------------------------------------

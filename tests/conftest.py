@@ -1,5 +1,8 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ppmatch import bipartite
 from ppmatch.graphs import GraphFamily, build_window
@@ -122,3 +125,35 @@ def attach_tree_adjacency(n, seed, max_depth=5):
 
 def derive(*parts):
     return derive_seed(20260825, *parts)
+
+
+def bfs_oracle(adj):
+    """dist[s][t] for every pair, None when t is unreachable from s."""
+    n = len(adj)
+    out = []
+    for s in range(n):
+        dist = [None] * n
+        dist[s] = 0
+        q = deque([s])
+        while q:
+            v = q.popleft()
+            for w in adj[v]:
+                if dist[w] is None:
+                    dist[w] = dist[v] + 1
+                    q.append(w)
+        out.append(dist)
+    return out
+
+
+@st.composite
+def graphs(draw):
+    """Adjacency lists of small simple graphs, often disconnected, with
+    isolated vertices."""
+    n = draw(st.integers(1, 14))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    adj = [set() for _ in range(n)]
+    for a, b in chosen:
+        adj[a].add(b)
+        adj[b].add(a)
+    return [sorted(ns) for ns in adj]

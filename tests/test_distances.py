@@ -1,36 +1,18 @@
 """Window distance primitives against a plain all-pairs BFS oracle.
 
-The oracle below shares nothing with the library: it runs one textbook
-breadth-first search per vertex over adjacency lists.  Graphs come from
-hypothesis and include disconnected ones and isolated vertices, which
-is where an "unreachable" marker can leak into ball tests.
+The oracle (`conftest.bfs_oracle`) shares nothing with the library: it
+runs one textbook breadth-first search per vertex over adjacency lists.
+Graphs come from hypothesis and include disconnected ones and isolated
+vertices, which is where an "unreachable" marker can leak into ball
+tests.
 """
-
-from collections import deque
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ppmatch import experiments, processes
 from ppmatch.graphs import UNREACHABLE, GapComponents, GraphFamily, build_window
-
-
-def bfs_oracle(adj):
-    """dist[s][t] for every pair, None when t is unreachable from s."""
-    n = len(adj)
-    out = []
-    for s in range(n):
-        dist = [None] * n
-        dist[s] = 0
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for w in adj[v]:
-                if dist[w] is None:
-                    dist[w] = dist[v] + 1
-                    q.append(w)
-        out.append(dist)
-    return out
+from conftest import bfs_oracle, graphs
 
 
 def oracle_partition(dist, members, gap):
@@ -51,18 +33,6 @@ def oracle_partition(dist, members, gap):
             if merged:
                 break
     return {frozenset(c) for c in classes}
-
-
-@st.composite
-def graphs(draw):
-    n = draw(st.integers(1, 14))
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
-    adj = [set() for _ in range(n)]
-    for a, b in chosen:
-        adj[a].add(b)
-        adj[b].add(a)
-    return [sorted(ns) for ns in adj]
 
 
 def window_of(adj):
@@ -139,6 +109,15 @@ def test_gap_components(adj, data):
             if c not in firsts:
                 firsts.append(int(c))
         assert firsts == list(range(len(firsts)))
+    # The Voronoi BFS: distance to and position of a nearest member.
+    for u in range(w.n):
+        reach = [dist[m][u] for m in members if dist[m][u] is not None]
+        if reach:
+            assert comps.near[u] == min(reach)
+            assert dist[members[comps.cell[u]]][u] == min(reach)
+        else:
+            assert comps.near[u] == UNREACHABLE
+            assert comps.cell[u] == -1
 
 
 def two_cycles():

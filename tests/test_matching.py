@@ -289,3 +289,28 @@ def test_stage_leaves_no_short_chains(seed, n):
         matching.run_stage(g, m, k, ranks)
     assert exhaustive_chains_below(g, m, 4 * n) == []
     m.assert_valid()
+
+
+def long_path(n):
+    """Edges L_i-R_i and L_{i+1}-R_i, ranked R_0 < L_1 < R_1 < ... <
+    L_{n-1} < R_{n-1} < L_0: stage 1 pairs L_{i+1} with R_i, which
+    leaves one augmenting chain through the whole path."""
+    edges = [(i, i) for i in range(n)] + [(i + 1, i) for i in range(n - 1)]
+    ids = np.arange(n)
+    g = bipartite.graph_from_point_edges(ids, ids, edges)
+    seq = []
+    for i in range(n - 1):
+        seq += [n + i, i + 1]
+    seq += [2 * n - 1, 0]
+    ranks = np.empty(2 * n, dtype=np.int64)
+    ranks[np.asarray(seq)] = np.arange(2 * n)
+    return g, ranks
+
+
+def test_chain_longer_than_the_recursion_limit():
+    # The last chain has 2n - 1 edges: a DFS that recursed once per
+    # chain step would overflow Python's default limit of 1000 frames.
+    g, ranks = long_path(1200)
+    m = matching.run(g, ranks)[0]
+    m.assert_valid()
+    assert m.size == matching.hopcroft_karp(g)[0] == 1200

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppmatch import processes, radii
 from ppmatch.errors import ConfigurationError
 from ppmatch.graphs import GraphFamily, build_window
-from conftest import attach_tree_adjacency, derive
+from conftest import attach_tree_adjacency, bfs_oracle, derive, graphs
 
 
 def v_set(window):
@@ -147,6 +148,151 @@ def test_support_never_exceeds_exact_small_instances():
             if not f_ex.censored[v]:
                 assert not f_sup.censored[v]
                 assert f_sup.values[v] <= f_ex.values[v]
+
+
+def oracle_support_field(adj, own, other, r0, cap, depth=None):
+    """(R_v, clause) per vertex by the two-clause rule in support mode,
+    from all-pairs BFS distances alone.  With `depth`, the graph is a
+    window of that depth around vertex 0 and B_r(v) is complete when
+    d(0, v) + r <= depth; without it the graph is a complete world."""
+    n = len(adj)
+    dist = bfs_oracle(adj)
+
+    def near(a, b, r):
+        return dist[a][b] is not None and dist[a][b] <= r
+
+    def ball(v, r):
+        return [u for u in range(n) if near(v, u, r)]
+
+    def complete(v, r):
+        return depth is None or dist[0][v] + r <= depth
+
+    half = r0 // 2
+    # A complete half-ball is the infinite-graph ball, so its size is
+    # the expected count.
+    bad = [
+        complete(v, half)
+        and 10 * sum(other[u] for u in ball(v, half)) <= 9 * len(ball(v, half))
+        for v in range(n)
+    ]
+    supp = [u for u in range(n) if own[u] > 0]
+    out = []
+    for v in range(n):
+        hb = ball(v, half)
+        if not any(bad[u] for u in hb):
+            if not all(complete(u, half) for u in hb):
+                out.append((radii.CENSORED, 0))
+                continue
+            if own[v] <= r0:
+                out.append((r0, 1))
+                continue
+        for r in range(r0 + 1, cap + 1):
+            # v's component in the gap-4r proximity graph on supp + {v}
+            comp, todo = {v}, [v]
+            while todo:
+                a = todo.pop()
+                for b in supp:
+                    if b not in comp and near(a, b, 4 * r):
+                        comp.add(b)
+                        todo.append(b)
+            own_u = sum(own[u] for u in comp)
+            grown = {u for c in comp for u in ball(c, r)}
+            if own_u == 0 or (
+                all(complete(u, r) for u in comp)
+                and sum(other[u] for u in grown) >= r * own_u
+            ):
+                out.append((r, 2))
+                break
+        else:
+            out.append((radii.CENSORED, 0))
+    return out
+
+
+@st.composite
+def stringy_graphs(draw):
+    """Paths cut into pieces, with a few chords: long distances, so
+    that gap-4r components split and balls reach past the support."""
+    n = draw(st.integers(2, 40))
+    cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    adj = [set() for _ in range(n)]
+    edges = [(i, i + 1) for i in range(n - 1) if not cuts[i]]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+    for a, b in edges:
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    return [sorted(ns) for ns in adj]
+
+
+def field_lists(fld):
+    got = list(zip(fld.values.tolist(), fld.clause.tolist()))
+    assert fld.censored.tolist() == [c == 0 for _, c in got]
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(graphs(), stringy_graphs()),
+    st.data(),
+    st.sampled_from([2, 4]),
+    st.integers(1, 4),
+)
+def test_support_field_matches_oracle(adj, data, r0, extra):
+    # Sparse own counts and dense other counts make clause 2 fire; sparse
+    # other counts make deficient vertices that hold clause 1 back and
+    # verdicts that turn on a few points.
+    n = len(adj)
+    own = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), min_size=n, max_size=n))
+    top = data.draw(st.sampled_from([1, 2, 6]))
+    other = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    w = build_window(GraphFamily.explicit(adj), 0, 0)
+    fld = radii.compute_radius_field(
+        processes.multiset_from_counts(own), processes.multiset_from_counts(other),
+        w, r0, radius_cap=r0 + extra,
+    )
+    assert field_lists(fld) == oracle_support_field(adj, own, other, r0, r0 + extra)
+
+
+@pytest.mark.parametrize("n, own, other", [
+    # Pending off-support vertex 0 whose nearest own point lies at
+    # exactly 4r = 12.
+    (14, {12: 3}, {}),
+    # Off-support vertex 2 holds at r = 3 only through the point at 0,
+    # which is within r of 2 but not of the support.
+    (10, {6: 1}, {0: 3}),
+    # The point at 4 is within r of both 2 and the support: it counts once.
+    (10, {6: 2}, {4: 3}),
+])
+def test_support_field_matches_oracle_at_boundaries(n, own, other):
+    adj = [[u for u in (v - 1, v + 1) if 0 <= u < n] for v in range(n)]
+    own = [own.get(v, 0) for v in range(n)]
+    other = [other.get(v, 0) for v in range(n)]
+    w = build_window(GraphFamily.explicit(adj), 0, 0)
+    fld = radii.compute_radius_field(
+        processes.multiset_from_counts(own), processes.multiset_from_counts(other),
+        w, 2, radius_cap=3,
+    )
+    assert field_lists(fld) == oracle_support_field(adj, own, other, 2, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_support_field_matches_oracle_on_tree_window(tree3_d5, data):
+    # Own points near the root keep some components' enlargements inside
+    # the window; one far point makes its component's incomplete.
+    w = tree3_d5
+    own = [0] * w.n
+    for v in data.draw(st.sets(st.integers(0, 9), max_size=3)):
+        own[v] = data.draw(st.integers(1, 3))
+    for v in data.draw(st.sets(st.integers(10, w.n - 1), max_size=1)):
+        own[v] = 1
+    other = data.draw(st.lists(st.integers(0, 6), min_size=w.n, max_size=w.n))
+    fld = radii.compute_radius_field(
+        processes.multiset_from_counts(own), processes.multiset_from_counts(other),
+        w, 2, radius_cap=4,
+    )
+    adj = [ns.tolist() for ns in w.neighbors]
+    assert field_lists(fld) == oracle_support_field(adj, own, other, 2, 4, w.depth)
 
 
 def test_radius_cap_censors_unresolved(tree3_d8):
