@@ -198,8 +198,10 @@ def load_config(
         raise ConfigurationError(f"radii.mode must be exact or support, got {mode!r}")
     size_cap = int(rr["size_cap"])
     radius_cap = int(rr["radius_cap"]) if rr["radius_cap"].strip() else None
-    if size_cap < 0 or (radius_cap is not None and radius_cap < r0):
-        raise ConfigurationError("radii caps must be positive (radius_cap >= r0)")
+    if size_cap < 0:
+        raise ConfigurationError("radii.size_cap must be >= 0")
+    if radius_cap is not None and radius_cap <= r0:
+        raise ConfigurationError(f"radii.radius_cap must exceed radii.r0 = {r0}")
 
     r_max_raw = data["order"]["r_max"].strip()
     order_r_max = int(r_max_raw) if r_max_raw else None

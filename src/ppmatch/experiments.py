@@ -505,45 +505,30 @@ def alternating_even_reachable(
         if j >= 0:
             matchR[j] = i
 
-    def reach_from_left() -> np.ndarray:
-        dist = np.full(g.n_left, -1, dtype=np.int64)
+    def reach(match_own, match_other, neighbors) -> np.ndarray:
+        """Even-reachable points of the side that match_own indexes."""
+        dist = np.full(len(match_own), -1, dtype=np.int64)
         q = deque()
-        for i in np.nonzero(matchL == -1)[0]:
-            dist[int(i)] = 0
-            q.append(int(i))
+        for p in np.nonzero(match_own == -1)[0]:
+            dist[int(p)] = 0
+            q.append(int(p))
         while q:
-            i = q.popleft()
-            if 2 * (dist[i] + 1) > max_even:
+            p = q.popleft()
+            if 2 * (dist[p] + 1) > max_even:
                 continue
-            for j in g.right_neighbors(i):
-                if matchL[i] == j:
+            for other in neighbors(p):
+                if match_own[p] == other:
                     continue
-                nxt = int(matchR[j])
+                nxt = int(match_other[other])
                 if nxt != -1 and dist[nxt] == -1:
-                    dist[nxt] = dist[i] + 1
+                    dist[nxt] = dist[p] + 1
                     q.append(nxt)
         return dist >= 0
 
-    def reach_from_right() -> np.ndarray:
-        dist = np.full(g.n_right, -1, dtype=np.int64)
-        q = deque()
-        for j in np.nonzero(matchR == -1)[0]:
-            dist[int(j)] = 0
-            q.append(int(j))
-        while q:
-            j = q.popleft()
-            if 2 * (dist[j] + 1) > max_even:
-                continue
-            for i in g.left_neighbors(j):
-                if matchR[j] == i:
-                    continue
-                nxt = int(matchL[i])
-                if nxt != -1 and dist[nxt] == -1:
-                    dist[nxt] = dist[j] + 1
-                    q.append(nxt)
-        return dist >= 0
-
-    return reach_from_left(), reach_from_right()
+    return (
+        reach(matchL, matchR, g.right_neighbors),
+        reach(matchR, matchL, g.left_neighbors),
+    )
 
 
 def verify_indep_set(res: PipelineResult) -> LemmaReport:
@@ -593,27 +578,21 @@ def singleton_violation_probability(ball_size: float, kmax: int = 60) -> float:
     return float(total)
 
 
-def _grow_connected_set(
-    window: GraphWindow, start: int, target: int, seed: int
+def _grow_rconnected(
+    window: GraphWindow, start: int, target: int, r: int, seed: int
 ) -> list[int]:
-    members = [start]
-    chosen = {start}
+    """An r-connected set of up to `target` vertices grown from start:
+    each step adds a vertex within r of the set, picked from the sorted
+    candidates by the seed's "grow" stream."""
+    members = {start}
     us = uniform_stream(seed, max(0, target - 1), "grow")
     for step in range(target - 1):
-        frontier = sorted(
-            {
-                int(u)
-                for v in members
-                for u in window.neighbors[v]
-                if int(u) not in chosen
-            }
-        )
+        near = window.dist_from(sorted(members), r) <= r
+        frontier = sorted({int(x) for x in np.nonzero(near)[0]} - members)
         if not frontier:
             break
-        pick = frontier[int(us[step] * len(frontier)) % len(frontier)]
-        members.append(pick)
-        chosen.add(pick)
-    return members
+        members.add(frontier[int(us[step] * len(frontier)) % len(frontier)])
+    return sorted(members)
 
 
 def verify_discrepancy(
@@ -640,7 +619,7 @@ def verify_discrepancy(
         pm_r = processes.sample(spec_right, window, derive_seed(ts, "r"))
         start = int(core_ids[hash_u64(ts, "start") % len(core_ids)])
         target = 1 + int(hash_u64(ts, "size") % max_size)
-        u_set = _grow_connected_set(window, start, target, ts)
+        u_set = _grow_rconnected(window, start, target, 1, ts)
         mask = np.zeros(len(window.labels), dtype=bool)
         mask[u_set] = True
         grown = window.dist_from(u_set, r) <= r
@@ -856,17 +835,9 @@ def sample_rconnected_family(
             near = np.nonzero(window.dist_row(anchor, r) <= r)[0]
             start = int(near[hash_u64(ks, "start") % len(near)])
         target = 1 + int(hash_u64(ks, "size") % max_size)
-        members = {start}
-        us = uniform_stream(ks, max(0, target - 1), "grow")
-        for step in range(target - 1):
-            near = window.dist_from(sorted(members), r) <= r
-            frontier = {int(x) for x in np.nonzero(near)[0]} - members
-            if not frontier:
-                break
-            opts = sorted(frontier)
-            members.add(opts[int(us[step] * len(opts)) % len(opts)])
-        sets.append(sorted(members))
-        union |= members
+        members = _grow_rconnected(window, start, target, r, ks)
+        sets.append(members)
+        union.update(members)
     pool = sorted(union)
     best = (-1, pool[0], pool[0])
     for a in pool:

@@ -7,6 +7,13 @@ untouched.  Stage n repeatedly finds all chains shorter than 4n, keeps
 those that are minimal for every point they touch, and flips the kept
 chains simultaneously, until none remain.
 
+One certificate decides when a stage is done: s, the length of the
+shortest chain (None when there is none), from a layered alternating
+BFS (Hopcroft & Karp 1973).  A stage sweeps while s < 4n; `run` carries
+s from stage to stage, so a stage with s >= 4n searches nothing and gets
+a zero-sweep report.  The chain search cuts every branch that the
+reverse BFS from the chain ends shows cannot finish below 4n edges.
+
 Chains are compared by an endpoint-first key: the ranks of the two
 endpoints (smaller first), then the ranks of the interior points read
 from the smaller endpoint.  A shorter chain with the same endpoints
@@ -27,9 +34,11 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .bipartite import MatchGraph
 from .errors import (
@@ -86,19 +95,23 @@ class Matching:
             (i, int(j)) for i, j in enumerate(self.matchL) if j >= 0
         ]
 
-    def unmatched_left(self) -> np.ndarray:
-        return np.nonzero(self.matchL == -1)[0]
-
-    def unmatched_right(self) -> np.ndarray:
-        return np.nonzero(self.matchR == -1)[0]
-
     def assert_valid(self) -> None:
-        for i, j in self.pairs():
-            if self.matchR[j] != i:
-                raise ContractViolationError(f"asymmetric pair ({i},{j})")
-            if not self.g.has_edge(i, j):
-                raise ContractViolationError(f"matched non-edge ({i},{j})")
-        if np.count_nonzero(self.matchR >= 0) != self.size:
+        """Raise ContractViolationError on the first matched left point
+        whose pair is asymmetric or not an edge, or when the two match
+        indexes hold different numbers of pairs."""
+        g = self.g
+        i = np.flatnonzero(self.matchL >= 0)
+        j = self.matchL[i]
+        owner = np.repeat(np.arange(g.n_left), np.diff(g.indptr_left))
+        on_edge = np.zeros(g.n_left, dtype=bool)
+        on_edge[owner[g.indices_left == self.matchL[owner]]] = True
+        asym = self.matchR[j] != i
+        bad = np.flatnonzero(asym | ~on_edge[i])
+        if len(bad):
+            k = bad[0]
+            kind = "asymmetric pair" if asym[k] else "matched non-edge"
+            raise ContractViolationError(f"{kind} ({i[k]},{j[k]})")
+        if np.count_nonzero(self.matchR >= 0) != len(i):
             raise ContractViolationError("match index counts disagree")
 
 
@@ -145,11 +158,12 @@ def find_chains(
 ) -> list[Chain]:
     """Every chain with fewer than max_len edges, each exactly once.
 
-    Depth-bounded alternating DFS from each unmatched left point; a
-    chain has a unique unmatched left endpoint, so no deduplication is
-    needed.  Exceeding `cap` chains raises ResourceError.  The DFS keeps
-    its own stack, one neighbor iterator per left point on the path, so
-    chain length is not bounded by Python's recursion limit.
+    Depth-bounded alternating DFS from each unmatched left point, cut
+    where no chain can finish below max_len edges; a chain has a unique
+    unmatched left endpoint, so no deduplication is needed.  Exceeding
+    `cap` chains raises ResourceError.  The DFS keeps its own stack, one
+    neighbor iterator per left point on the path, so chain length is not
+    bounded by Python's recursion limit.
     """
     if max_len < 2:
         return []
@@ -157,9 +171,15 @@ def find_chains(
     max_points = max_edges + 1
     n_left = g.n_left
     chains: list[Chain] = []
+    partners, ends = _chain_ends(g, m)
+    if not ends.any():
+        return chains
+    # to_end[p] bounds every completion through left p from below, so the
+    # DFS enters no branch that cannot finish within max_points.
+    to_end = _steps_to_ends(g, partners, ends).tolist()
 
     for root in range(n_left):
-        if m.matchL[root] != -1:
+        if m.matchL[root] != -1 or 2 * to_end[root] + 2 > max_points:
             continue
         path, onpath = [root], {root}
         stack = [iter(g.right_neighbors(root))]
@@ -176,7 +196,10 @@ def find_chains(
                         raise ResourceError(
                             f"{stage_label}: more than {cap} chains"
                         )
-                elif len(path) + 2 <= max_points and partner not in onpath:
+                elif (
+                    len(path) + 3 + 2 * to_end[partner] <= max_points
+                    and partner not in onpath
+                ):
                     path += [jg, partner]
                     onpath.update((jg, partner))
                     stack.append(iter(g.right_neighbors(partner)))
@@ -254,32 +277,47 @@ def flip(m: Matching, c: Chain) -> None:
             m.flip_counts[(i, j)] += 1
 
 
-def shortest_chain_length(g: MatchGraph, m: Matching) -> int | None:
-    """Edge count of the shortest chain, or None when no chain exists.
+def _chain_ends(g: MatchGraph, m: Matching) -> tuple[np.ndarray, np.ndarray]:
+    """(partner, ends): partner[e] is the left partner of the right end of
+    left-CSR edge e (-1 when unmatched); ends marks the left points with
+    an unmatched right neighbor, where a chain can end."""
+    partner = m.matchR[g.indices_left]
+    free = np.concatenate(([0], np.cumsum(partner == -1)))
+    return partner, free[g.indptr_left[1:]] > free[g.indptr_left[:-1]]
 
-    Layered alternating BFS from all unmatched left points at once.
+
+def _steps_to_ends(
+    g: MatchGraph, partner: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """Fewest steps from each left point to a chain end (inf when none),
+    where left i steps to the partner of each matched right neighbor: a
+    layered alternating BFS (csgraph's unweighted Dijkstra) backwards
+    from the ends."""
+    matched = np.concatenate(([0], np.cumsum(partner >= 0)))
+    steps = csr_matrix(
+        (np.ones(matched[-1]), partner[partner >= 0], matched[g.indptr_left]),
+        shape=(g.n_left, g.n_left),
+    )
+    return dijkstra(
+        steps.T, indices=np.flatnonzero(ends), min_only=True, unweighted=True
+    )
+
+
+def shortest_chain_length(g: MatchGraph, m: Matching) -> int | None:
+    """Edge count of the shortest chain, or None when no chain exists:
+    2d + 1 for the fewest steps d from an unmatched left point to a chain
+    end.  Shortest alternating walks are simple paths, so the shortest
+    such walk is the shortest chain.
     """
-    dist = np.full(g.n_left, -1, dtype=np.int64)
-    q: deque[int] = deque()
-    for i in m.unmatched_left():
-        dist[int(i)] = 0
-        q.append(int(i))
-    best: int | None = None
-    while q:
-        i = q.popleft()
-        if best is not None and dist[i] >= best:
-            continue
-        for j in g.right_neighbors(i):
-            if m.matchL[i] == j:
-                continue
-            partner = int(m.matchR[j])
-            if partner == -1:
-                if best is None or dist[i] < best:
-                    best = int(dist[i])
-            elif dist[partner] == -1:
-                dist[partner] = dist[i] + 1
-                q.append(partner)
-    return None if best is None else 2 * best + 1
+    sources = m.matchL == -1
+    partner, ends = _chain_ends(g, m)
+    # The two cheap answers skip the BFS.
+    if not (sources.any() and ends.any()):
+        return None
+    if ends[sources].any():
+        return 1
+    d = _steps_to_ends(g, partner, ends)[sources].min()
+    return 2 * int(d) + 1 if np.isfinite(d) else None
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +495,8 @@ def _kernel_sweep_select(
 
 @dataclass(frozen=True)
 class StageReport:
+    """shortest_chain: the certificate the stage ended with."""
+
     stage: int
     sweeps: int
     flips: int
@@ -465,9 +505,12 @@ class StageReport:
     p_left: float
     p_right: float
     wall_s: float
+    shortest_chain: int | None = None
 
 
-def _report(stage: int, sweeps: int, flips: int, m: Matching, wall: float) -> StageReport:
+def _report(
+    stage: int, sweeps: int, flips: int, m: Matching, wall: float, s: int | None
+) -> StageReport:
     ul = int(np.count_nonzero(m.matchL == -1))
     ur = int(np.count_nonzero(m.matchR == -1))
     return StageReport(
@@ -479,6 +522,7 @@ def _report(stage: int, sweeps: int, flips: int, m: Matching, wall: float) -> St
         ul / m.g.n_left if m.g.n_left else 0.0,
         ur / m.g.n_right if m.g.n_right else 0.0,
         wall,
+        s,
     )
 
 
@@ -490,12 +534,13 @@ def run_stage(
     *,
     sweep_cap: int = 10_000,
     chain_cap: int = 1_000_000,
-    validate: bool = True,
 ) -> StageReport:
     """Exhaust all chains shorter than 4n by minimal-chain sweeps.
 
-    Mutates m in place.  Terminates when the alternating BFS certifies
-    that no chain shorter than 4n remains.
+    Mutates m in place.  Each sweep flips the selected chains, checks the
+    matching and that no matched point became unmatched, and renews the
+    certificate; the stage ends when it certifies that no chain shorter
+    than 4n remains, and the report carries that certificate.
     """
     if n < 1:
         raise ContractViolationError("stage index must be >= 1")
@@ -504,10 +549,8 @@ def run_stage(
     use_kernel = n == 1 and g.n_points <= _MAX_KERNEL_POINTS
     sweeps = 0
     flips = 0
-    while True:
-        s = shortest_chain_length(g, m)
-        if s is None or s >= max_len:
-            break
+    s = shortest_chain_length(g, m)
+    while s is not None and s < max_len:
         if use_kernel:
             selected = _kernel_sweep_select(g, m, ranks)
         else:
@@ -520,23 +563,18 @@ def run_stage(
             raise StageDivergenceError(
                 f"stage {n}: chains of length {s} exist but none selected"
             )
-        matched_before_l = m.matchL >= 0
-        matched_before_r = m.matchR >= 0
+        before_l, before_r = m.matchL >= 0, m.matchR >= 0
         for c in selected:
             flip(m, c)
-        if validate:
-            m.assert_valid()
-            if (matched_before_l & (m.matchL < 0)).any() or (
-                matched_before_r & (m.matchR < 0)
-            ).any():
-                raise ContractViolationError(
-                    f"stage {n}: a matched point became unmatched"
-                )
+        m.assert_valid()
+        if (before_l & (m.matchL < 0)).any() or (before_r & (m.matchR < 0)).any():
+            raise ContractViolationError(f"stage {n}: a matched point became unmatched")
         flips += len(selected)
         sweeps += 1
         if sweeps > sweep_cap:
             raise StageDivergenceError(f"stage {n}: exceeded {sweep_cap} sweeps")
-    return _report(n, sweeps, flips, m, time.perf_counter() - t0)
+        s = shortest_chain_length(g, m)
+    return _report(n, sweeps, flips, m, time.perf_counter() - t0, s)
 
 
 def run(
@@ -546,15 +584,15 @@ def run(
     *,
     sweep_cap: int = 10_000,
     chain_cap: int = 1_000_000,
-    validate: bool = True,
 ) -> tuple[Matching, list[StageReport], list[np.ndarray]]:
     """Stages 1..max_stage; with the default max_stage the result is a
     maximum matching (no augmenting path of any length can survive).
 
-    Once no chain of any length exists the remaining stages are vacuous
-    and their reports are synthesized without another search.  The third
-    return value holds a copy of matchL after each stage, for diagnostic
-    replay.
+    The certificate s is carried from each stage's report to the next
+    stage; a stage with s >= 4n (or no chain at all) is vacuous, and its
+    report is synthesized with zero sweeps and zero wall time.  The third
+    return value holds a read-only copy of matchL after each stage, for
+    diagnostic replay; a vacuous stage shares the copy before it.
     """
     if max_stage is None:
         max_stage = max(1, math.ceil(g.n_points / 4) + 1)
@@ -563,20 +601,21 @@ def run(
     m = Matching(g)
     reports: list[StageReport] = []
     snapshots: list[np.ndarray] = []
-    exhausted = False
+    s = shortest_chain_length(g, m)
+    rep = _report(0, 0, 0, m, 0.0, s)
+    snap = m.matchL.copy()
     for n in range(1, max_stage + 1):
-        if exhausted:
-            reports.append(_report(n, 0, 0, m, 0.0))
-            snapshots.append(m.matchL.copy())
-            continue
-        rep = run_stage(
-            g, m, n, ranks,
-            sweep_cap=sweep_cap, chain_cap=chain_cap, validate=validate,
-        )
+        if s is not None and s < 4 * n:
+            rep = run_stage(
+                g, m, n, ranks, sweep_cap=sweep_cap, chain_cap=chain_cap
+            )
+            s = rep.shortest_chain
+            snap = m.matchL.copy()
+        else:
+            rep = replace(rep, stage=n, sweeps=0, flips=0, wall_s=0.0)
+        snap.flags.writeable = False
         reports.append(rep)
-        snapshots.append(m.matchL.copy())
-        if shortest_chain_length(g, m) is None:
-            exhausted = True
+        snapshots.append(snap)
     return m, reports, snapshots
 
 

@@ -166,6 +166,32 @@ def multiset_from_counts(
     return _from_counts(arr, origin_vertex=origin_vertex, discarded=discarded)
 
 
+def _landing(spec: ProcessSpec, window: GraphWindow):
+    """land_of(i, seed): the window vertex where the point that vertex i
+    emits lands under the rule described in `sample`, or None when the
+    point is discarded.  `sample` and `hole_probability` share it."""
+    distances = np.array([d for d, _ in spec.distance_law], dtype=np.int64)
+    cum = np.cumsum([w for _, w in spec.distance_law])
+    cum[-1] = 1.0
+    explicit = window.family.kind == EXPLICIT
+
+    def land_of(i: int, seed: int) -> int | None:
+        lab = window.labels[i]
+        u = unit_uniform(seed, "disp", lab)
+        d = int(distances[np.searchsorted(cum, u, side="right")])
+        if d == 0:
+            return i
+        if explicit:
+            members, _ = window.sphere(i, d)
+            if len(members) == 0:
+                return None
+            return int(members[hash_u64(seed, "land", lab) % len(members)])
+        j = hash_u64(seed, "land", lab) % sphere_size_infinite(window.family, d)
+        return window.label_to_index.get(sphere_point(window.family, lab, d, j))
+
+    return land_of
+
+
 def sample(spec: ProcessSpec, window: GraphWindow, seed: int) -> PointMultiset:
     """Sample a process on a window, deterministically in (spec, seed).
 
@@ -193,46 +219,21 @@ def sample(spec: ProcessSpec, window: GraphWindow, seed: int) -> PointMultiset:
             f"{window.core_margin}: core counts would be biased"
         )
 
-    distances = np.array([d for d, _ in spec.distance_law], dtype=np.int64)
-    cum = np.cumsum([w for _, w in spec.distance_law])
-    cum[-1] = 1.0
-    explicit = window.family.kind == EXPLICIT
-
+    land_of = _landing(spec, window)
     landings: list[int] = []
     origins: list[int] = []
-    discarded = 0
-    for i, lab in enumerate(window.labels):
-        u = unit_uniform(seed, "disp", lab)
-        d = int(distances[np.searchsorted(cum, u, side="right")])
-        if d == 0:
-            landings.append(i)
-            origins.append(i)
-            continue
-        if explicit:
-            members, _ = window.sphere(i, d)
-            if len(members) == 0:
-                discarded += 1
-                continue
-            j = hash_u64(seed, "land", lab) % len(members)
-            landings.append(int(members[j]))
-            origins.append(i)
-            continue
-        s = sphere_size_infinite(window.family, d)
-        j = hash_u64(seed, "land", lab) % s
-        target = sphere_point(window.family, lab, d, j)
-        idx = window.label_to_index.get(target)
-        if idx is None:
-            discarded += 1
-        else:
-            landings.append(idx)
+    for i in range(window.n):
+        target = land_of(i, seed)
+        if target is not None:
+            landings.append(target)
             origins.append(i)
 
     land = np.asarray(landings, dtype=np.int64)
     orig = np.asarray(origins, dtype=np.int64)
     order = np.argsort(land, kind="stable")
     counts = np.bincount(land, minlength=window.n).astype(np.int64)
-    pm = _from_counts(counts, origin_vertex=orig[order], discarded=discarded)
-    return pm
+    discarded = window.n - len(landings)
+    return _from_counts(counts, origin_vertex=orig[order], discarded=discarded)
 
 
 def count_in(pm: PointMultiset, vertex_set) -> int:
@@ -300,39 +301,15 @@ def hole_probability(
         )
     relevant, _ = window.ball(0, min(r + dmax, window.depth))
     root_dist = window.dist_row(0, r)
-    distances = np.array([d for d, _ in spec.distance_law], dtype=np.int64)
-    cum = np.cumsum([w for _, w in spec.distance_law])
-    cum[-1] = 1.0
-    explicit = window.family.kind == EXPLICIT
-
+    land_of = _landing(spec, window)
     hits = 0
     for t in range(trials):
         seed_t = derive_seed(seed, "hole", t)
-        occupied = False
         for i in relevant:
-            i = int(i)
-            lab = window.labels[i]
-            u = unit_uniform(seed_t, "disp", lab)
-            d = int(distances[np.searchsorted(cum, u, side="right")])
-            if d == 0:
-                target = i
-            elif explicit:
-                members, _ = window.sphere(i, d)
-                if len(members) == 0:
-                    continue
-                target = int(members[hash_u64(seed_t, "land", lab) % len(members)])
-            else:
-                s = sphere_size_infinite(window.family, d)
-                j = hash_u64(seed_t, "land", lab) % s
-                t_lab = sphere_point(window.family, lab, d, j)
-                idx = window.label_to_index.get(t_lab)
-                if idx is None:
-                    continue
-                target = idx
-            if root_dist[target] <= r:
-                occupied = True
+            target = land_of(int(i), seed_t)
+            if target is not None and root_dist[target] <= r:
                 break
-        if not occupied:
+        else:
             hits += 1
     p = hits / trials
     se = math.sqrt(p * (1.0 - p) / trials)

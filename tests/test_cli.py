@@ -89,6 +89,7 @@ def test_config_hash_skips_deployment_keys(tmp_path):
     ["radii.r0=0"],
     ["radii.mode=fancy"],
     ["radii.radius_cap=2"],  # below the default r0 = 4
+    ["radii.radius_cap=4"],  # equal to the default r0 = 4
     ["graph.core_margin=2"],  # below the default r0 = 4
     ["process_left.kind=weird"],
     ["process_left.kind=perturbed"],  # empty distance_law

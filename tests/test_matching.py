@@ -183,6 +183,65 @@ def test_shortest_chain_length_certificate():
     assert matching.shortest_chain_length(g2, m2) == 3
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.integers(0, 2))
+def test_shortest_chain_length_matches_exhaustive_search(seed, stages):
+    g = random_instance(seed, 8, 8, edge_prob=0.3)
+    m = fresh(g)
+    for n in range(1, stages + 1):
+        matching.run_stage(g, m, n, seeded_ranks(g, seed))
+    chains = exhaustive_chains_below(g, m, g.n_points + 1)
+    expected = min((len(c) - 1 for c in chains), default=None)
+    assert matching.shortest_chain_length(g, m) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.integers(2, 14))
+def test_find_chains_matches_exhaustive_search(seed, max_len):
+    # The distance cut in find_chains must not lose a chain.  A greedy
+    # matching over a random edge order leaves chains of many lengths.
+    g = random_instance(seed, 12, 12, edge_prob=0.3)
+    ranks = seeded_ranks(g, seed)
+    m = fresh(g)
+    edges = [(i, int(j)) for i in range(g.n_left) for j in g.right_neighbors(i)]
+    for k in np.random.default_rng(seed).permutation(len(edges)):
+        i, j = edges[k]
+        if m.matchL[i] == -1 and m.matchR[j] == -1:
+            m.matchL[i], m.matchR[j] = j, i
+    found = [c.points for c in matching.find_chains(g, m, max_len, ranks)]
+    expected = [
+        matching.Chain.canonical(list(c), ranks).points
+        for c in exhaustive_chains_below(g, m, max_len)
+    ]
+    assert len(found) == len(set(found))
+    assert sorted(found) == sorted(expected)
+
+
+def test_assert_valid_names_the_first_asymmetric_pair():
+    g = two_pair_trace()
+    m = fresh(g)
+    m.matchL[:] = [0, 1]
+    m.matchR[0] = 0  # R1 does not point back to L1
+    with pytest.raises(ContractViolationError, match=r"asymmetric pair \(1,1\)"):
+        m.assert_valid()
+
+
+def test_assert_valid_rejects_a_matched_non_edge():
+    g = two_pair_trace()  # L1-R0 is not an edge
+    m = fresh(g)
+    m.matchL[1], m.matchR[0] = 0, 1
+    with pytest.raises(ContractViolationError, match=r"matched non-edge \(1,0\)"):
+        m.assert_valid()
+
+
+def test_assert_valid_rejects_disagreeing_index_counts():
+    g = two_pair_trace()
+    m = fresh(g)
+    m.matchR[0] = 0  # L0 is unmatched in matchL
+    with pytest.raises(ContractViolationError, match="match index counts disagree"):
+        m.assert_valid()
+
+
 def test_find_chains_cap():
     g = bipartite.graph_from_point_edges(
         [0] * 5, [0] * 5, [(i, j) for i in range(5) for j in range(5)]
@@ -210,6 +269,10 @@ def test_run_produces_monotone_reports():
     assert len(snapshots) == len(reports)
     # Snapshots record the end of each stage; the last equals the result.
     np.testing.assert_array_equal(snapshots[-1], m.matchL)
+    # A vacuous stage shares the snapshot before it; none can be written.
+    for r, before, after in zip(reports[1:], snapshots, snapshots[1:]):
+        assert (after is before) == (r.sweeps == 0)
+    assert not any(s.flags.writeable for s in snapshots)
     m.assert_valid()
 
 
@@ -220,6 +283,7 @@ def test_run_early_out_synthesizes_reports():
     assert len(reports) == 4
     assert [r.flips for r in reports] == [1, 0, 0, 0]
     assert [r.sweeps for r in reports][1:] == [0, 0, 0]
+    assert [r.wall_s for r in reports][1:] == [0.0, 0.0, 0.0]
     assert all(r.p_left == 0.0 for r in reports)
 
 
@@ -314,3 +378,23 @@ def test_chain_longer_than_the_recursion_limit():
     m = matching.run(g, ranks)[0]
     m.assert_valid()
     assert m.size == matching.hopcroft_karp(g)[0] == 1200
+
+
+def test_vacuous_stages_run_no_certificate(monkeypatch):
+    # One BFS per sweep plus a few per searching stage; a stage that
+    # cannot search (no chain shorter than 4n) must not run one.
+    calls = []
+    certify = matching.shortest_chain_length
+
+    def counted(g, m):
+        calls.append(1)
+        return certify(g, m)
+
+    monkeypatch.setattr(matching, "shortest_chain_length", counted)
+    g, ranks = long_path(60)
+    m, reports, _ = matching.run(g, ranks)
+    assert m.size == 60
+    sweeps = sum(r.sweeps for r in reports)
+    searched = sum(1 for r in reports if r.sweeps)
+    assert sweeps + 2 * searched + 1 == 65
+    assert len(calls) <= 65
