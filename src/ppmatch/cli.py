@@ -62,6 +62,18 @@ _DEFAULTS = {
 _HASH_EXEMPT = {("run", "out"), ("run", "workers"), ("run", "seed")}
 
 
+def _parse_int(text: str, name: str, optional: bool = False) -> int | None:
+    """Config key `name`'s value as an integer (None: blank and optional)."""
+    if optional and not text.strip():
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigurationError(
+            f"{name} must be an integer, got {text!r}"
+        ) from None
+
+
 def _parse_distance_law(text: str) -> dict[int, float]:
     law = {}
     for part in text.split(","):
@@ -73,7 +85,12 @@ def _parse_distance_law(text: str) -> dict[int, float]:
                 f"distance_law entry {part!r} is not dist:weight"
             )
         d, w = part.split(":", 1)
-        law[int(d)] = float(w)
+        try:
+            law[int(d)] = float(w)
+        except ValueError:
+            raise ConfigurationError(
+                f"distance_law entry {part!r} does not hold two numbers"
+            ) from None
     if not law:
         raise ConfigurationError("distance_law must list dist:weight pairs")
     return law
@@ -168,7 +185,9 @@ def load_config(
     g = data["graph"]
     fam_name = g["family"].strip()
     if fam_name == "regular_tree":
-        family = GraphFamily.regular_tree(int(g["degree"]))
+        family = GraphFamily.regular_tree(
+            _parse_int(g["degree"], "graph.degree")
+        )
     elif fam_name == "ladder_diagonal":
         family = GraphFamily.ladder_diagonal()
     elif fam_name == "explicit":
@@ -176,13 +195,15 @@ def load_config(
             raise ConfigurationError(
                 "graph.adjacency_file is required for family=explicit"
             )
-        family = parse_adjacency_text(
-            Path(g["adjacency_file"].strip()).read_text()
-        )
+        try:
+            text = Path(g["adjacency_file"].strip()).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"graph.adjacency_file: {exc}") from None
+        family = parse_adjacency_text(text)
     else:
         raise ConfigurationError(f"graph.family: unknown family {fam_name!r}")
-    depth = int(g["depth"])
-    core_margin = int(g["core_margin"])
+    depth = _parse_int(g["depth"], "graph.depth")
+    core_margin = _parse_int(g["core_margin"], "graph.core_margin")
     if depth < 0 or core_margin < 0:
         raise ConfigurationError("graph.depth and graph.core_margin must be >= 0")
 
@@ -190,26 +211,27 @@ def load_config(
     spec_right = _process_spec(data["process_right"], "process_right")
 
     rr = data["radii"]
-    r0 = int(rr["r0"])
+    r0 = _parse_int(rr["r0"], "radii.r0")
     if r0 < 2 or r0 % 2:
         raise ConfigurationError("radii.r0 must be an even integer >= 2")
     mode = rr["mode"].strip()
     if mode not in (radii.EXACT, radii.SUPPORT):
         raise ConfigurationError(f"radii.mode must be exact or support, got {mode!r}")
-    size_cap = int(rr["size_cap"])
-    radius_cap = int(rr["radius_cap"]) if rr["radius_cap"].strip() else None
+    size_cap = _parse_int(rr["size_cap"], "radii.size_cap")
+    radius_cap = _parse_int(rr["radius_cap"], "radii.radius_cap", optional=True)
     if size_cap < 0:
         raise ConfigurationError("radii.size_cap must be >= 0")
     if radius_cap is not None and radius_cap <= r0:
         raise ConfigurationError(f"radii.radius_cap must exceed radii.r0 = {r0}")
 
-    r_max_raw = data["order"]["r_max"].strip()
-    order_r_max = int(r_max_raw) if r_max_raw else None
+    order_r_max = _parse_int(data["order"]["r_max"], "order.r_max", optional=True)
+    if order_r_max is not None and order_r_max < 0:
+        raise ConfigurationError("order.r_max must be >= 0")
 
     mm = data["matcher"]
-    max_stage = int(mm["max_stage"]) if mm["max_stage"].strip() else None
-    sweep_cap = int(mm["sweep_cap"])
-    chain_cap = int(mm["chain_cap"])
+    max_stage = _parse_int(mm["max_stage"], "matcher.max_stage", optional=True)
+    sweep_cap = _parse_int(mm["sweep_cap"], "matcher.sweep_cap")
+    chain_cap = _parse_int(mm["chain_cap"], "matcher.chain_cap")
     if sweep_cap <= 0 or chain_cap <= 0:
         raise ConfigurationError("matcher caps must be positive")
 
@@ -222,14 +244,16 @@ def load_config(
         )
 
     run = data["run"]
-    trials_v = int(run["trials"])
-    seed_v = int(run["seed"])
-    workers = int(run["workers"])
+    trials_v = _parse_int(run["trials"], "run.trials")
+    seed_v = _parse_int(run["seed"], "run.seed")
+    workers = _parse_int(run["workers"], "run.workers")
     if trials_v < 1 or workers < 1:
         raise ConfigurationError("run.trials and run.workers must be >= 1")
     tail_raw = run["tail_radii"].strip()
     if tail_raw:
-        tail_radii = [int(x) for x in tail_raw.split(",")]
+        tail_radii = [
+            _parse_int(x, "run.tail_radii") for x in tail_raw.split(",")
+        ]
     else:
         tail_radii = list(range(0, core_margin + 1))
     experiment_names = [
@@ -504,8 +528,8 @@ def _cmd_demo_ladder(cfg: RunConfig) -> dict:
         b = w.label_to_index.get((n, 1))
         if a is None or b is None:
             continue
-        sa = of.signatures[a].counts
-        sb = of.signatures[b].counts
+        sa = of.signature(a)
+        sb = of.signature(b)
         if sa == sb:
             tied += 1
             lines.append(f"{n} {','.join(str(c) for c in sa)}")

@@ -110,8 +110,12 @@ def parse_adjacency_text(text: str) -> GraphFamily:
         if not line:
             continue
         head, _, rest = line.partition(":")
-        v = int(head.strip())
-        rows[v] = [int(tok) for tok in rest.split()]
+        try:
+            rows[int(head)] = [int(tok) for tok in rest.split()]
+        except ValueError:
+            raise ConfigurationError(
+                f"adjacency line {raw!r} is not 'id: n1 n2 ...'"
+            ) from None
     if not rows:
         raise ConfigurationError("empty adjacency text")
     n = max(rows) + 1
@@ -275,7 +279,6 @@ class GraphWindow:
             (np.ones(len(indices)), indices, indptr), shape=(self.n, self.n)
         )
         self._reach: list[csr_matrix] = []  # _reach[r]: pairs within r
-        self._complete_world = self.family.kind == EXPLICIT
         self.depth_from_root = self.dist_row(0) if self.n else indices
 
     # -- construction ------------------------------------------------------
@@ -342,25 +345,22 @@ class GraphWindow:
         idx = np.nonzero(self.dist_row(v, r) == r)[0]
         return idx, self.ball_complete(v, r)
 
+    def ball_ok(self, r: int) -> np.ndarray:
+        """Per vertex v, whether B_r(v) lies fully inside the window:
+        every window test of completeness reads this rule."""
+        if self.family.kind == EXPLICIT:
+            return np.ones(self.n, dtype=bool)
+        return self.depth_from_root <= self.depth - r
+
     def ball_complete(self, v, r: int) -> bool:
         """Whether B_r(v) lies fully inside the window; for an index
         array v, whether every such ball does."""
-        if self._complete_world:
-            return True
-        return bool((self.depth_from_root[v] + r <= self.depth).all())
+        return bool(self.ball_ok(r)[v].all())
 
     @property
     def core(self) -> np.ndarray:
-        """Vertices at distance <= depth - core_margin from the root."""
-        if self._complete_world:
-            return np.arange(self.n, dtype=np.int64)
-        cutoff = self.depth - self.core_margin
-        return np.nonzero(self.depth_from_root <= cutoff)[0]
-
-    def is_core(self, v: int) -> bool:
-        if self._complete_world:
-            return True
-        return int(self.depth_from_root[v]) <= self.depth - self.core_margin
+        """Vertices whose core_margin-ball lies inside the window."""
+        return np.nonzero(self.ball_ok(self.core_margin))[0]
 
     def contains_label(self, label) -> bool:
         return label in self.label_to_index
@@ -540,13 +540,7 @@ def cheeger_bound(
     """
     if max_set_size < 1:
         raise ConfigurationError("max_set_size must be >= 1")
-    if window.family.kind == EXPLICIT:
-        universe = list(range(window.n))
-    else:
-        cutoff = window.depth - 1
-        universe = [
-            v for v in range(window.n) if window.depth_from_root[v] <= cutoff
-        ]
+    universe = np.nonzero(window.ball_ok(1))[0].tolist()
     if not universe:
         raise ConfigurationError("window too small: no interior vertices")
 

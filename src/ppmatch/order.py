@@ -1,9 +1,12 @@
 """Total order on vertices built from local point-count fingerprints.
 
 Each vertex gets a signature: the point counts on the spheres of radius
-0..r_max around it, truncated to the radii whose spheres are complete in
-the window.  Vertices are compared lexicographically by signature, with
-the window vertex index as a deterministic tiebreak; ties are collisions
+0..r_max around it, truncated to the radii whose balls are complete in
+the window.  The signatures are held as one integer matrix, one row per
+vertex, whose entries past the complete prefix are -1; since -1 lies
+below every count, comparing rows compares signatures the way tuples
+compare (a proper prefix first).  Vertices sort by signature, with the
+window vertex index as a deterministic tiebreak; ties are collisions
 and are reported, not hidden.  The psi value encodes a signature as an
 exact dyadic rational (a_1 one-digits, a zero, a_2 ones, a zero, ...)
 and is exported for conformance checks; comparing signatures directly is
@@ -20,61 +23,6 @@ import numpy as np
 
 from .graphs import GraphWindow
 from .processes import PointMultiset
-
-
-@dataclass(frozen=True)
-class SphereSignature:
-    """Sphere point counts around one vertex.
-
-    counts[r] is the number of points at distance exactly r, recorded
-    only for the prefix of radii whose spheres lie fully inside the
-    window; complete[r] says whether radius r made it in.  Absent radii
-    are absent, not zero.
-    """
-
-    vertex: int
-    counts: tuple[int, ...]
-    complete: tuple[bool, ...]
-
-    @property
-    def r_max(self) -> int:
-        return len(self.complete) - 1
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts):
-            raise ValueError("negative sphere count")
-        if len(self.counts) > len(self.complete):
-            raise ValueError("more counts than radii")
-        for r, flag in enumerate(self.complete):
-            if flag != (r < len(self.counts)):
-                raise ValueError("complete flags must mark a prefix")
-
-
-def sphere_signature(
-    pm: PointMultiset, window: GraphWindow, v: int, r_max: int
-) -> SphereSignature:
-    return _signature(window, v, _sphere_counts(pm, window, r_max)[:, v], r_max)
-
-
-def _sphere_counts(pm: PointMultiset, window: GraphWindow, r_max: int) -> np.ndarray:
-    """Point counts on the radius-r spheres of every vertex, r = 0..r_max
-    (one row per r), as differences of ball counts."""
-    if r_max < 0:
-        raise ValueError("r_max must be >= 0")
-    balls = np.stack([window.ball_counts(pm.counts, r) for r in range(r_max + 1)])
-    return np.diff(balls, axis=0, prepend=0)
-
-
-def _signature(
-    window: GraphWindow, v: int, counts: np.ndarray, r_max: int
-) -> SphereSignature:
-    complete = [window.ball_complete(v, r) for r in range(r_max + 1)]
-    n_keep = complete.index(False) if False in complete else len(complete)
-    return SphereSignature(
-        vertex=int(v),
-        counts=tuple(int(c) for c in counts[:n_keep]),
-        complete=tuple(complete),
-    )
 
 
 def psi(sig: Sequence[int]) -> Fraction:
@@ -124,13 +72,15 @@ def psi_decode(value: Fraction, n_entries: int) -> tuple[int, ...]:
 class OrderFactor:
     """Total order over the window's vertices.
 
-    vertex_rank[v] is the position of v when vertices sort by
-    (signature, vertex index).  fallback[v] marks vertices whose
-    signature ties at least one other vertex, so the index decided.
-    collision_groups lists every tied signature class of size >= 2.
+    counts[v] is the signature row of v (see the module docstring);
+    signature(v) is its complete prefix.  vertex_rank[v] is the position
+    of v when vertices sort by (signature, vertex index).  fallback[v]
+    marks vertices whose signature ties at least one other vertex, so
+    the index decided.  collision_groups lists every tied signature
+    class of size >= 2, in signature order, members by index.
     """
 
-    signatures: tuple[SphereSignature, ...]
+    counts: np.ndarray
     vertex_rank: np.ndarray
     fallback: np.ndarray
     collision_groups: tuple[tuple[int, ...], ...]
@@ -140,37 +90,45 @@ class OrderFactor:
     def n_collisions(self) -> int:
         return int(self.fallback.sum())
 
-    def key(self, v: int) -> tuple:
-        return (self.signatures[v].counts, v)
+    def signature(self, v: int) -> tuple[int, ...]:
+        row = self.counts[v]
+        return tuple(int(c) for c in row[row >= 0])
 
 
 def build_order(
     pm: PointMultiset, window: GraphWindow, r_max: int
 ) -> OrderFactor:
+    if r_max < 0:
+        raise ValueError("r_max must be >= 0")
+    # Sphere counts as differences of ball counts, -1 from the first
+    # radius whose ball leaves the window (a prefix: balls only grow).
+    radii = range(r_max + 1)
+    balls = np.stack([window.ball_counts(pm.counts, r) for r in radii], axis=1)
+    counts = np.diff(balls, axis=1, prepend=0)
+    counts[~np.stack([window.ball_ok(r) for r in radii], axis=1)] = -1
     n = window.n
-    spheres = _sphere_counts(pm, window, r_max)
-    sigs = tuple(_signature(window, v, spheres[:, v], r_max) for v in range(n))
-    order = sorted(range(n), key=lambda v: (sigs[v].counts, v))
+    # lexsort takes its primary key last: columns r_max..0, then index.
+    order = np.lexsort((np.arange(n),) + tuple(counts.T[::-1]))
     rank = np.empty(n, dtype=np.int64)
-    rank[np.asarray(order, dtype=np.int64)] = np.arange(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
 
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for v in range(n):
-        groups.setdefault(sigs[v].counts, []).append(v)
-    fallback = np.zeros(n, dtype=bool)
-    collision_groups = []
-    for sig_counts in sorted(groups):
-        members = groups[sig_counts]
-        if len(members) > 1:
-            collision_groups.append(tuple(members))
-            fallback[members] = True
-    rank.setflags(write=False)
-    fallback.setflags(write=False)
+    # Tied rows sit next to each other in sorted order.
+    ranked = counts[order]
+    tie = (ranked[1:] == ranked[:-1]).all(axis=1)
+    tied = np.r_[tie, False] | np.r_[False, tie]
+    fallback = tied[rank]
+    # A tied position opens a new group unless it ties the one before.
+    at = np.nonzero(tied)[0]
+    opens = np.nonzero(~tie[at[1:] - 1])[0] + 1
+    groups = np.split(order[at], opens) if len(at) else []
+
+    for a in (counts, rank, fallback):
+        a.setflags(write=False)
     return OrderFactor(
-        signatures=sigs,
+        counts=counts,
         vertex_rank=rank,
         fallback=fallback,
-        collision_groups=tuple(collision_groups),
+        collision_groups=tuple(tuple(g.tolist()) for g in groups),
         r_max=r_max,
     )
 
@@ -179,11 +137,11 @@ def dump_order(of: OrderFactor) -> list[str]:
     """Lines "vertex_id signature_csv psi_numerator psi_denominator
     fallback_flag"."""
     lines = []
-    for v, sig in enumerate(of.signatures):
-        val = psi(sig.counts)
-        csv = ",".join(str(c) for c in sig.counts)
+    for v in range(len(of.counts)):
+        sig = of.signature(v)
+        val = psi(sig)
         lines.append(
-            f"{v} {csv} {val.numerator} {val.denominator} "
-            f"{int(bool(of.fallback[v]))}"
+            f"{v} {','.join(map(str, sig))} {val.numerator} "
+            f"{val.denominator} {int(of.fallback[v])}"
         )
     return lines

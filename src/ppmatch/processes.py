@@ -295,11 +295,11 @@ def hole_probability(
         return HoleEstimate(p, se, trials, math.exp(-len(ball_idx)))
 
     dmax = spec.max_displacement
-    if r + dmax > window.depth and window.family.kind != EXPLICIT:
+    if not window.ball_complete(0, r + dmax):
         raise CensoringError(
             f"origins within {r + dmax} of the probe do not all fit in the window"
         )
-    relevant, _ = window.ball(0, min(r + dmax, window.depth))
+    relevant, _ = window.ball(0, r + dmax)
     root_dist = window.dist_row(0, r)
     land_of = _landing(spec, window)
     hits = 0

@@ -28,7 +28,7 @@ import numpy as np
 
 from .enumeration import connected_subsets_containing
 from .errors import ConfigurationError
-from .graphs import EXPLICIT, GapComponents, GraphWindow
+from .graphs import GapComponents, GraphWindow
 from .processes import PointMultiset, count_in
 
 CENSORED = -1
@@ -70,13 +70,6 @@ class BadSet:
         return int(np.count_nonzero(self.member))
 
 
-def _ball_ok(window: GraphWindow, r: int) -> np.ndarray:
-    """Per vertex, whether B_r(v) lies fully inside the window."""
-    if window.family.kind == EXPLICIT:
-        return np.ones(window.n, dtype=bool)
-    return (window.depth_from_root.astype(np.int64) + r) <= window.depth
-
-
 def compute_bad_set(
     other: PointMultiset,
     window: GraphWindow,
@@ -91,7 +84,7 @@ def compute_bad_set(
     # A half-ball inside the window is the whole infinite-graph ball, so
     # its window size is the expected count; other vertices are censored.
     expected = window.ball_counts(np.ones(window.n, dtype=np.int64), half)
-    censored = ~_ball_ok(window, half)
+    censored = ~window.ball_ok(half)
     member = (~censored) & (ball * thr.denominator <= thr.numerator * expected)
     member.setflags(write=False)
     censored.setflags(write=False)
@@ -349,7 +342,7 @@ def _support_radii(
     tables = []
     for r in range(r0 + 1, cap + 1):
         lab = comps.labels(4 * r)
-        ok = _ball_ok(window, r)
+        ok = window.ball_ok(r)
         within = comps.near <= r
         # Per component: complete, own count, other count on C^{+r}.
         table = (

@@ -102,6 +102,12 @@ def test_config_hash_skips_deployment_keys(tmp_path):
     ["graph.nope=1"],
     ["justvalue"],
     ["nodot=3"],
+    ["graph.depth=abc"],
+    ["radii.r0=2.5"],
+    ["process_right.kind=perturbed", "process_right.distance_law=1:x"],
+    ["run.tail_radii=1,,2"],
+    ["graph.family=explicit", "graph.adjacency_file=no_such_graph.adj"],
+    ["order.r_max=-1"],
 ])
 def test_rejected_configs(overrides):
     with pytest.raises(ConfigurationError):
@@ -225,6 +231,20 @@ def test_unknown_experiment_exits_with_error(tmp_path, capsys):
     )
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_malformed_config_value_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.adj"
+    bad.write_text("0: 1\n1: 0 two\n")
+    for overrides, key in (
+        (["graph.depth=abc"], "graph.depth"),
+        (["graph.family=explicit", f"graph.adjacency_file={bad}"],
+         "adjacency line"),
+    ):
+        args = [a for item in overrides for a in ("--set", item)]
+        assert cli.main(["sample", "--out", str(tmp_path)] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
 
 
 def test_demo_ladder_reports_unsplittable_pairs(tmp_path, capsys):

@@ -34,8 +34,10 @@ def test_tree_window_vertex_count_and_core(tree3_d8):
     core = w.core
     assert len(core) == 46  # depth-4 ball
     assert (w.depth_from_root[core] <= 4).all()
-    assert w.is_core(0)
-    assert not w.is_core(int(np.nonzero(w.depth_from_root == 5)[0][0]))
+    assert w.ball_complete(0, w.core_margin)
+    assert not w.ball_complete(
+        int(np.nonzero(w.depth_from_root == 5)[0][0]), w.core_margin
+    )
 
 
 def test_tree_degrees(tree3_d8):
@@ -114,6 +116,8 @@ def test_explicit_family_validation():
         GraphFamily.explicit([[0]])  # self loop
     with pytest.raises(ConfigurationError):
         GraphFamily.explicit([[5], [0]])  # out of range
+    with pytest.raises(ConfigurationError):
+        parse_adjacency_text("0: 1\n1: 0 x")  # not a vertex id
 
 
 def test_parse_adjacency_text_roundtrip():
@@ -130,7 +134,7 @@ def test_parse_adjacency_text_roundtrip():
     assert w.n == 4
     assert w.distance(0, 2) == 2
     assert w.ball_complete(2, 99)
-    assert w.is_core(3)
+    assert w.ball_complete(3, w.core_margin)
 
 
 def test_explicit_window_is_complete_world():

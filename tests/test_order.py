@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ppmatch import order, processes
 from ppmatch.graphs import GraphFamily, build_window
-from conftest import derive
+from conftest import bfs_oracle, derive, graphs
 
 
 def test_psi_frozen_values():
@@ -67,23 +67,14 @@ def test_sphere_signature_counts_and_prefix(tree3_d8):
         if v != 0:
             counts[v] += 1
     pm = processes.multiset_from_counts(counts)
-    sig = order.sphere_signature(pm, tree3_d8, 0, 3)
-    assert sig.counts == (2, 3, 0, 0)
-    assert sig.complete == (True, True, True, True)
-    # A depth-7 vertex only sees radius <= 1 inside the window.
+    of = order.build_order(pm, tree3_d8, 3)
+    assert of.signature(0) == (2, 3, 0, 0)
+    assert list(of.counts[0]) == [2, 3, 0, 0]
+    # A depth-7 vertex only sees radius <= 1 inside the window; the
+    # radii past the complete prefix read -1, below every count.
     v7 = int(np.nonzero(tree3_d8.depth_from_root == 7)[0][0])
-    sig7 = order.sphere_signature(pm, tree3_d8, v7, 3)
-    assert len(sig7.counts) == 2
-    assert sig7.complete == (True, True, False, False)
-
-
-def test_signature_validation():
-    with pytest.raises(ValueError):
-        order.SphereSignature(0, (1, -1), (True, True))
-    with pytest.raises(ValueError):
-        order.SphereSignature(0, (1,), (False, True))
-    with pytest.raises(ValueError):
-        order.SphereSignature(0, (1, 2, 3), (True, True))
+    assert len(of.signature(v7)) == 2
+    assert list(of.counts[v7, 2:]) == [-1, -1]
 
 
 def test_signature_is_local(tree3_d8, tree3_d5):
@@ -95,13 +86,13 @@ def test_signature_is_local(tree3_d8, tree3_d5):
             [pm8.counts[tree3_d8.label_to_index[lab]] for lab in tree3_d5.labels]
         )
     )
+    of5 = order.build_order(pm5, tree3_d5, 2)
+    of8 = order.build_order(pm8, tree3_d8, 2)
     for v5, lab in enumerate(tree3_d5.labels):
         if tree3_d5.depth_from_root[v5] + 2 > 5:
             continue
         v8 = tree3_d8.label_to_index[lab]
-        s5 = order.sphere_signature(pm5, tree3_d5, v5, 2)
-        s8 = order.sphere_signature(pm8, tree3_d8, v8, 2)
-        assert s5.counts == s8.counts
+        assert of5.signature(v5) == of8.signature(v8)
 
 
 def test_build_order_ranks_and_fallback(tree3_d8):
@@ -111,7 +102,7 @@ def test_build_order_ranks_and_fallback(tree3_d8):
     assert sorted(of.vertex_rank) == list(range(n))
     # Ranks realize the documented key order.
     by_rank = np.argsort(of.vertex_rank)
-    keys = [of.key(int(v)) for v in by_rank]
+    keys = [(of.signature(int(v)), int(v)) for v in by_rank]
     assert keys == sorted(keys)
     # Every member of a collision group carries the fallback flag.
     flagged = {v for grp in of.collision_groups for v in grp}
@@ -126,7 +117,7 @@ def test_degenerate_order_collides_by_depth_profile(tree3_d8):
     # sizes, so every vertex collides with its depth-profile class.
     assert of.n_collisions == tree3_d8.n
     # Core vertices (complete spheres, 3-regular) all share (1, 3, 6).
-    core_sig = of.signatures[0].counts
+    core_sig = of.signature(0)
     assert core_sig == (1, 3, 6)
     groups = {g for g in of.collision_groups if 0 in g}
     core_group = groups.pop()
@@ -158,7 +149,7 @@ def test_mirrored_ladder_always_collides(ladder_d10):
     for n, z in w.labels:
         a = w.label_to_index[(n, 0)]
         b = w.label_to_index[(n, 1)]
-        assert of.signatures[a].counts == of.signatures[b].counts
+        assert of.signature(a) == of.signature(b)
         assert of.fallback[a] and of.fallback[b]
 
 
@@ -171,3 +162,63 @@ def test_dump_order_format(tree3_d8):
     v, csv, num, den, flag = lines[0].split()
     assert (v, csv, flag) == ("0", "1,3,6", "1")
     assert Fraction(int(num), int(den)) == order.psi((1, 3, 6))
+
+
+def order_oracle(adj, counts, r_max, complete_radius):
+    """Plain-Python order: sphere counts from BFS distances, each prefix
+    cut at the first radius whose ball leaves the window, tuples sorted
+    with the index as tiebreak and ties grouped in a dict.
+    complete_radius[v] is the largest radius whose ball around v is
+    complete."""
+    n = len(adj)
+    dist = bfs_oracle(adj)
+    sigs = []
+    for v in range(n):
+        keep = min(r_max, complete_radius[v]) + 1
+        sigs.append(tuple(
+            sum(counts[t] for t in range(n) if dist[v][t] == r)
+            for r in range(keep)
+        ))
+    rank = [0] * n
+    for pos, v in enumerate(sorted(range(n), key=lambda v: (sigs[v], v))):
+        rank[v] = pos
+    groups = {}
+    for v in range(n):
+        groups.setdefault(sigs[v], []).append(v)
+    collisions = tuple(
+        tuple(groups[sig]) for sig in sorted(groups) if len(groups[sig]) > 1
+    )
+    return sigs, rank, collisions
+
+
+def assert_order_matches_oracle(window, adj, counts, r_max, complete_radius):
+    pm = processes.multiset_from_counts(np.asarray(counts, dtype=np.int64))
+    of = order.build_order(pm, window, r_max)
+    sigs, rank, collisions = order_oracle(adj, counts, r_max, complete_radius)
+    # The dump's second field is the signature.
+    assert [line.split(" ")[1] for line in order.dump_order(of)] == [
+        ",".join(str(c) for c in sig) for sig in sigs
+    ]
+    assert of.vertex_rank.tolist() == rank
+    assert of.collision_groups == collisions
+    flagged = {v for grp in collisions for v in grp}
+    assert of.fallback.tolist() == [v in flagged for v in range(window.n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), adj=graphs(), r_max=st.integers(0, 4))
+def test_build_order_matches_oracle_on_explicit_graphs(data, adj, r_max):
+    w = build_window(GraphFamily.explicit(adj), 0)
+    counts = data.draw(st.lists(st.integers(0, 3), min_size=w.n, max_size=w.n))
+    # An explicit graph is a complete world: every prefix is kept whole.
+    assert_order_matches_oracle(w, adj, counts, r_max, [r_max] * w.n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), r_max=st.integers(0, 4))
+def test_build_order_matches_oracle_on_tree_window(tree3_d5, data, r_max):
+    w = tree3_d5
+    adj = [ns.tolist() for ns in w.neighbors]
+    counts = data.draw(st.lists(st.integers(0, 2), min_size=w.n, max_size=w.n))
+    complete_radius = [w.depth - int(d) for d in w.depth_from_root]
+    assert_order_matches_oracle(w, adj, counts, r_max, complete_radius)

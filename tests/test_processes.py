@@ -125,6 +125,22 @@ def test_hole_probability_censoring_guard(tree3_d5):
         )
 
 
+def test_hole_probability_on_explicit_window_ignores_depth():
+    # On an 8-cycle every point moves one step; the root is a hole when
+    # neither neighbour's point lands on it: probability 1/4.  Explicit
+    # windows are the whole graph whatever depth they were built with.
+    cycle = GraphFamily.explicit([[(i - 1) % 8, (i + 1) % 8] for i in range(8)])
+    spec = processes.ProcessSpec.perturbed({1: 1.0})
+    values = {
+        processes.hole_probability(
+            spec, build_window(cycle, depth, 0), 0, 4000, 3
+        ).value
+        for depth in (0, 1, 8)
+    }
+    assert len(values) == 1
+    assert abs(values.pop() - 0.25) < 0.03
+
+
 def test_dump_load_roundtrip(tree3_d8):
     for spec in (
         processes.ProcessSpec.poisson(),
