@@ -33,15 +33,6 @@ TAG_BOTH = 3
 
 
 @dataclass(frozen=True)
-class PointRef:
-    """A single point: side, window vertex, and 1-based index at the vertex."""
-
-    side: int
-    vertex: int
-    slot: int
-
-
-@dataclass(frozen=True)
 class CensorReport:
     """Points excluded from the graph because their vertex was censored."""
 
@@ -120,17 +111,6 @@ class MatchGraph:
 
     def left_neighbors(self, j: int) -> np.ndarray:
         return self.indices_right[self.indptr_right[j] : self.indptr_right[j + 1]]
-
-    def left_ref(self, i: int) -> PointRef:
-        return PointRef(LEFT, int(self.left_vertex[i]), int(self.left_slot[i]))
-
-    def right_ref(self, j: int) -> PointRef:
-        return PointRef(RIGHT, int(self.right_vertex[j]), int(self.right_slot[j]))
-
-    def has_edge(self, i: int, j: int) -> bool:
-        row = self.right_neighbors(i)
-        k = np.searchsorted(row, j)
-        return k < len(row) and row[k] == j
 
 
 def build_match_graph(

@@ -254,6 +254,8 @@ def load_config(
         tail_radii = [
             _parse_int(x, "run.tail_radii") for x in tail_raw.split(",")
         ]
+        if min(tail_radii) < 0:
+            raise ConfigurationError("run.tail_radii must be >= 0")
     else:
         tail_radii = list(range(0, core_margin + 1))
     experiment_names = [

@@ -1,12 +1,12 @@
 """Enumeration of connected vertex subsets of a graph.
 
-Used for exact expansion bounds (Cheeger ratios) and for the exact
-reach-radius mode, where connectivity is taken in a proximity graph.
+Used by the exact reach-radius mode, where connectivity is taken in a
+proximity graph.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import ResourceError
 
@@ -79,31 +79,3 @@ def connected_subsets_containing(
     first = fresh_neighbors(root, {root}, set())
     rec({root}, first, set())
     return results, truncated
-
-
-def min_rooted_connected_subsets(
-    universe: Sequence[int],
-    neighbors: Callable[[int], Iterable[int]],
-    *,
-    max_size: int,
-    cap: int = 2_000_000,
-) -> list[frozenset[int]]:
-    """All connected subsets of `universe` with at most `max_size` vertices.
-
-    Each subset is enumerated once, from its minimum element, so the
-    total count is exact.
-    """
-    allowed_set = set(universe)
-    out: list[frozenset[int]] = []
-    for root in sorted(allowed_set):
-        subsets, _ = connected_subsets_containing(
-            root,
-            neighbors,
-            allowed=lambda v, r=root: v in allowed_set and v >= r,
-            max_size=max_size,
-            cap=cap,
-        )
-        out.extend(subsets)
-        if len(out) > cap:
-            raise ResourceError(f"subset enumeration exceeded cap={cap}")
-    return out

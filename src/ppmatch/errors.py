@@ -25,7 +25,3 @@ class ContractViolationError(PpmatchError):
 
 class StageDivergenceError(PpmatchError):
     """A matching stage exceeded its sweep cap without converging."""
-
-
-class PrecisionError(PpmatchError):
-    """A numerical estimate cannot reach the requested accuracy."""

@@ -19,7 +19,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as spstats
 
 from . import bipartite, matching as matching_mod, order as order_mod
 from . import processes, radii
@@ -165,10 +164,14 @@ def _core_mask(window: GraphWindow) -> np.ndarray:
     return mask
 
 
-def _tail_one(
-    res: PipelineResult, radii_list: list[int], side: str,
-    unmatched_as_infinite: bool,
+def tail_row(
+    res: PipelineResult,
+    radii_list: list[int],
+    *,
+    side: str = "left",
+    unmatched_as_infinite: bool = False,
 ) -> tuple[np.ndarray, int]:
+    """Per-trial spatial tail averages and the base vertex count."""
     w = res.window
     if side == "left":
         fld, dist, vert = res.field_left, res.left_distance, res.graph.left_vertex
@@ -187,17 +190,6 @@ def _tail_one(
             hits |= on_base & ~matched
         out[k] = hits.sum() / n_base
     return out, n_base
-
-
-def tail_row(
-    res: PipelineResult,
-    radii_list: list[int],
-    *,
-    side: str = "left",
-    unmatched_as_infinite: bool = False,
-) -> tuple[np.ndarray, int]:
-    """Per-trial spatial tail averages and the base vertex count."""
-    return _tail_one(res, radii_list, side, unmatched_as_infinite)
 
 
 def curve_from_rows(
@@ -252,7 +244,10 @@ def matching_distance_tail(
         raise ValueError("no pipeline results")
     rows = []
     for res in results:
-        vals, base = _tail_one(res, radii_list, side, unmatched_as_infinite)
+        vals, base = tail_row(
+            res, radii_list, side=side,
+            unmatched_as_infinite=unmatched_as_infinite,
+        )
         if base:
             rows.append(vals)
     return curve_from_rows(rows, results[0].window, radii_list)
@@ -366,7 +361,7 @@ def tail_hole_dominance(
             # is vacuous on a fully censored trial; skip it but say so.
             skipped += 1
             continue
-        tails, _ = _tail_one(res, radii_list, "left", True)
+        tails, _ = tail_row(res, radii_list, unmatched_as_infinite=True)
         for k, r in enumerate(radii_list):
             h = hole_indicator_average(res.right, window, r, base)
             lhs.append(tails[k])
@@ -388,28 +383,24 @@ def tail_hole_dominance(
 # ---------------------------------------------------------------------------
 
 
-def occupied_vertices(pm: processes.PointMultiset, threshold: int = 1) -> np.ndarray:
-    return pm.counts >= threshold
-
-
 def verify_chebyshev(
     window: GraphWindow,
     trials: int,
     seed: int,
-    set_generator=occupied_vertices,
 ) -> LemmaReport:
     """Neighborhood density versus p/(rho^2 (1-p) + p) on non-amenable
     transitive families; densities measured over the core.
 
-    N(A) is the strict graph neighborhood: vertices with at least one
-    neighbor in A.
+    A is the set of vertices occupied by a Poisson sample, one sample per
+    trial.  N(A) is the strict graph neighborhood: vertices with at least
+    one neighbor in A.
     """
     fam = window.family
     if fam.amenable:
         raise ConfigurationError(
             "density boost needs a non-amenable family (spectral radius < 1)"
         )
-    rho = spectral_radius(fam, method="closed_form").value
+    rho = spectral_radius(fam)
     rho2 = rho * rho
     core_ids = window.core
     if len(core_ids) == 0:
@@ -422,9 +413,7 @@ def verify_chebyshev(
         pm = processes.sample(
             processes.ProcessSpec.poisson(), window, derive_seed(seed, "cheb", t)
         )
-        in_a = np.asarray(set_generator(pm), dtype=bool)
-        if in_a.shape != (len(window.labels),):
-            raise ContractViolationError("set generator must flag every vertex")
+        in_a = pm.counts >= 1
         in_na = window.ball_counts(in_a, 1) > in_a
         p_hat = float(in_a[core_ids].mean())
         p_prime = float(in_na[core_ids].mean())
@@ -445,10 +434,6 @@ def verify_chebyshev(
     )
 
 
-def all_left_points(res: PipelineResult) -> np.ndarray:
-    return np.arange(res.graph.n_left, dtype=np.int64)
-
-
 def verify_boosted_hall(
     window: GraphWindow,
     spec_left: processes.ProcessSpec,
@@ -456,10 +441,10 @@ def verify_boosted_hall(
     cfg: PipelineConfig,
     trials: int,
     seed: int,
-    set_generator=all_left_points,
 ) -> LemmaReport:
-    """p(N(A)) versus min(2 p(A), 4/5) over the match graph, A a set of
-    left points; densities are counts per censor-free vertex.
+    """p(N(A)) versus min(2 p(A), 4/5) over the match graph, A the set of
+    all left points of the graph; densities are counts per censor-free
+    vertex.
 
     Diagnostic only: the statement is about invariant densities on the
     infinite graph, and finite windows can legitimately miss it, so
@@ -474,13 +459,9 @@ def verify_boosted_hall(
         base = int(res.live_vertices.sum())
         if base == 0:
             raise CensoringError("no censor-free vertices")
-        a = np.asarray(set_generator(res), dtype=np.int64)
-        p_a = len(a) / base
-        if len(a):
-            nbrs = bipartite.neighborhood(res.graph, list(a))
-            p_n = len(nbrs) / base
-        else:
-            p_n = 0.0
+        n_left = res.graph.n_left
+        p_a = n_left / base
+        p_n = len(bipartite.neighborhood(res.graph, range(n_left))) / base
         lhs.append(p_n)
         rhs.append(min(2.0 * p_a, 0.8))
     return _make_report("boosted_hall", lhs, rhs, extras={"trials": trials})
@@ -566,16 +547,6 @@ def verify_indep_set(res: PipelineResult) -> LemmaReport:
 # ---------------------------------------------------------------------------
 # Count discrepancy on connected sets
 # ---------------------------------------------------------------------------
-
-
-def singleton_violation_probability(ball_size: float, kmax: int = 60) -> float:
-    """Exact P(Poisson(ball_size) < L) with L ~ Poisson(1), by finite
-    convolution."""
-    total = 0.0
-    for k in range(1, kmax + 1):
-        p_k = spstats.poisson.pmf(k, 1.0)
-        total += p_k * spstats.poisson.cdf(k - 1, ball_size)
-    return float(total)
 
 
 def _grow_rconnected(

@@ -12,16 +12,15 @@ supported:
   a complete world (no boundary censoring).
 
 Windows answer metric queries (distance, balls, spheres, completeness
-flags), and the module provides exact expansion bounds and spectral
-radius estimates used by the statistics layer.
+flags).  The module also gives the infinite graphs' sphere and ball
+sizes and the regular tree's spectral radius in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,8 +29,7 @@ from scipy.sparse.csgraph import (
     connected_components, dijkstra, minimum_spanning_tree,
 )
 
-from .enumeration import min_rooted_connected_subsets
-from .errors import ConfigurationError, PrecisionError, ResourceError
+from .errors import ConfigurationError, ResourceError
 
 #: Distance reported for a vertex out of a query's reach; larger than
 #: every radius, so no ball test ``dist <= r`` admits it.
@@ -90,10 +88,6 @@ class GraphFamily:
                         f"adjacency not symmetric: {v}->{w} but not {w}->{v}"
                     )
         return GraphFamily(EXPLICIT, adjacency=tuple(cleaned))
-
-    @property
-    def transitive(self) -> bool:
-        return self.kind in (REGULAR_TREE, LADDER_DIAGONAL)
 
     @property
     def amenable(self) -> bool:
@@ -362,16 +356,6 @@ class GraphWindow:
         """Vertices whose core_margin-ball lies inside the window."""
         return np.nonzero(self.ball_ok(self.core_margin))[0]
 
-    def contains_label(self, label) -> bool:
-        return label in self.label_to_index
-
-    def ball_size(self, r: int) -> int:
-        """Infinite-graph ball size for transitive families; root ball
-        size for explicit graphs."""
-        if self.family.kind == EXPLICIT:
-            return int(np.count_nonzero(self.dist_row(0, r) <= r))
-        return ball_size_infinite(self.family, r)
-
 
 class GapComponents:
     """Components of a vertex set under gap-proximity, for every gap.
@@ -522,190 +506,21 @@ def build_window(
 
 
 # ---------------------------------------------------------------------------
-# Expansion and spectral estimates
+# Spectral radius
 # ---------------------------------------------------------------------------
 
 
-def cheeger_bound(
-    window: GraphWindow,
-    max_set_size: int = 8,
-    *,
-    cap: int = 2_000_000,
-) -> Fraction:
-    """min |boundary(A)| / |A| over connected interior sets, |A| <= k.
+def spectral_radius(family: GraphFamily) -> float:
+    """Spectral radius 2*sqrt(d-1)/d of simple random walk on the
+    d-regular tree (Kesten 1959).
 
-    An exact rational upper bound on the vertex Cheeger constant of the
-    underlying graph.  Interior means every neighbor of A lies in the
-    window, so the boundary count is exact.  Non-increasing in k.
+    Only the non-amenable regular trees have a radius below 1; any other
+    family raises ConfigurationError.
     """
-    if max_set_size < 1:
-        raise ConfigurationError("max_set_size must be >= 1")
-    universe = np.nonzero(window.ball_ok(1))[0].tolist()
-    if not universe:
-        raise ConfigurationError("window too small: no interior vertices")
-
-    def nbrs(v: int):
-        return window.neighbors[v]
-
-    best: Fraction | None = None
-    subsets = min_rooted_connected_subsets(
-        universe, nbrs, max_size=max_set_size, cap=cap
-    )
-    for a in subsets:
-        boundary = set()
-        for v in a:
-            for w in window.neighbors[v]:
-                if int(w) not in a:
-                    boundary.add(int(w))
-        ratio = Fraction(len(boundary), len(a))
-        if best is None or ratio < best:
-            best = ratio
-    assert best is not None
-    return best
-
-
-@dataclass(frozen=True)
-class SpectralEstimate:
-    """A spectral radius value with provenance.
-
-    value        -- the estimate (closed form, eigenvalue, or the ratio
-                    estimator sqrt(p_{2n}/p_{2n-2}) of return probabilities);
-    plain_value  -- the slower p_{2n}^{1/(2n)} lower bound (None for
-                    closed forms);
-    method       -- "closed_form" or "return_probability";
-    n            -- half the walk length used (return probability only);
-    amenable     -- whether the estimate flags an amenable graph.
-    """
-
-    value: float
-    method: str
-    amenable: bool
-    plain_value: float | None = None
-    n: int | None = None
-
-
-def _tree_return_probabilities(degree: int, n: int) -> tuple[float, float]:
-    """(p_{2n-2}, p_{2n}) for simple random walk on the d-regular tree.
-
-    Exact dynamic programming over the distance-from-start profile; the
-    walk cannot leave depth 2n, so no window truncation occurs.
-    """
-    d = float(degree)
-    top = 2 * n + 2
-    probs = np.zeros(top + 1)
-    probs[0] = 1.0
-    prev_even = 1.0
-    for step in range(1, 2 * n + 1):
-        new = np.zeros(top + 1)
-        new[1] += probs[0]
-        new[0:top] += probs[1 : top + 1] * (1.0 / d)
-        new[2 : top + 1] += probs[1:top] * ((d - 1.0) / d)
-        probs = new
-        if step == 2 * n - 2:
-            prev_even = probs[0]
-    return prev_even, probs[0]
-
-
-def _window_return_probabilities(
-    neighbors: Sequence[np.ndarray], n: int
-) -> tuple[float, float]:
-    size = len(neighbors)
-    probs = np.zeros(size)
-    probs[0] = 1.0
-    degs = np.array([max(len(ns), 1) for ns in neighbors], dtype=np.float64)
-    prev_even = 1.0
-    for step in range(1, 2 * n + 1):
-        new = np.zeros(size)
-        share = probs / degs
-        for v in range(size):
-            s = share[v]
-            if s > 0.0:
-                new[neighbors[v]] += s
-        probs = new
-        if step == 2 * n - 2:
-            prev_even = probs[0]
-    return prev_even, probs[0]
-
-
-def spectral_radius(
-    family: GraphFamily,
-    method: str = "closed_form",
-    *,
-    n: int = 40,
-    window: GraphWindow | None = None,
-) -> SpectralEstimate:
-    """Spectral radius of simple random walk on the family's graph.
-
-    ``closed_form`` uses 2*sqrt(d-1)/d for regular trees, 1 for the
-    (amenable) ladder, and an exact eigenvalue computation for explicit
-    graphs (largest |eigenvalue| of the transition operator excluding the
-    top eigenvalue 1).
-
-    ``return_probability`` reports the consecutive-ratio estimator
-    sqrt(p_{2n} / p_{2n-2}); the plain root p_{2n}^(1/2n) is exposed as
-    ``plain_value``.  Both are monotone-increasing lower bounds of the
-    true radius; the ratio estimator is within 2% of the closed form for
-    regular trees at n = 40.
-    """
-    if method == "closed_form":
-        if family.kind == REGULAR_TREE:
-            d = family.degree
-            return SpectralEstimate(2.0 * math.sqrt(d - 1) / d, method, False)
-        if family.kind == LADDER_DIAGONAL:
-            return SpectralEstimate(1.0, method, True)
-        adj = family.adjacency
-        size = len(adj)
-        if size == 0:
-            raise ConfigurationError("empty explicit graph")
-        degs = np.array([len(ns) for ns in adj], dtype=np.float64)
-        if np.any(degs == 0):
-            raise ConfigurationError("explicit graph has isolated vertices")
-        mat = np.zeros((size, size))
-        for v, ns in enumerate(adj):
-            for w in ns:
-                mat[v, w] = 1.0 / math.sqrt(degs[v] * degs[w])
-        eigs = np.linalg.eigvalsh(mat)
-        eigs = sorted(eigs, key=lambda x: -abs(x))
-        rest = [x for x in eigs if abs(x - 1.0) > 1e-9]
-        value = abs(rest[0]) if rest else 0.0
-        return SpectralEstimate(value, method, amenable=value > 1.0 - 1e-9)
-
-    if method != "return_probability":
-        raise ConfigurationError(f"unknown spectral method {method!r}")
-    if n < 2:
-        raise PrecisionError("return_probability needs n >= 2")
-
-    if family.kind == REGULAR_TREE:
-        if window is not None and window.depth < n:
-            raise PrecisionError(
-                f"window depth {window.depth} < n={n}: walk would leave it"
-            )
-        p_prev, p_now = _tree_return_probabilities(family.degree, n)
-    elif family.kind == LADDER_DIAGONAL:
-        # A length-2n returning walk stays within distance n; depth n+1
-        # keeps every visited vertex at full degree.
-        w = window if window is not None else build_window(family, n + 1)
-        if w.depth < n + 1:
-            raise PrecisionError(
-                f"window depth {w.depth} < n+1={n + 1}: boundary would bias the walk"
-            )
-        p_prev, p_now = _window_return_probabilities(w.neighbors, n)
-    else:
-        w = window if window is not None else build_window(family, 0)
-        p_prev, p_now = _window_return_probabilities(w.neighbors, n)
-
-    if p_now <= 0.0 or p_prev <= 0.0:
-        raise PrecisionError("return probability underflow; reduce n")
-    ratio = math.sqrt(p_now / p_prev)
-    plain = p_now ** (1.0 / (2 * n))
-    if family.transitive:
-        amen = family.amenable
-    else:
-        amen = ratio >= 0.98
-    return SpectralEstimate(
-        ratio,
-        "return_probability",
-        amenable=amen,
-        plain_value=plain,
-        n=n,
-    )
+    if family.kind != REGULAR_TREE:
+        raise ConfigurationError(
+            f"spectral radius is known in closed form only for "
+            f"{REGULAR_TREE}, not {family.kind}"
+        )
+    d = family.degree
+    return 2.0 * math.sqrt(d - 1) / d

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import pdtr
 
 from .errors import CensoringError, ConfigurationError
 from .graphs import (
@@ -41,7 +41,7 @@ def _poisson_cdf() -> np.ndarray:
     the resolution of a 64-bit uniform, so inversion never overflows it."""
     global _POISSON_CDF
     if _POISSON_CDF is None:
-        table = stats.poisson.cdf(np.arange(_POISSON_KMAX + 1), 1.0)
+        table = pdtr(np.arange(_POISSON_KMAX + 1), 1.0)
         table.setflags(write=False)
         _POISSON_CDF = table
     return _POISSON_CDF

@@ -23,7 +23,7 @@ def test_degenerate_graph_structure(tree3_d8):
     for i in range(g.n_left):
         for j in range(g.n_right):
             d = tree3_d8.distance(int(g.left_vertex[i]), int(g.right_vertex[j]))
-            assert g.has_edge(i, j) == (d <= 4)
+            assert (j in g.right_neighbors(i)) == (d <= 4)
 
 
 def test_edge_rule_uses_max_of_the_two_radii():
@@ -71,8 +71,7 @@ def test_multiplicity_expands_to_point_pairs(tree3_d8):
     assert g.n_edges == 6  # complete bipartite between the two piles
     assert list(g.left_slot) == [1, 2]
     assert list(g.right_slot) == [1, 2, 3]
-    ref = g.right_ref(2)
-    assert (ref.vertex, ref.slot) == (1, 3)
+    assert (g.right_vertex[2], g.right_slot[2]) == (1, 3)
 
 
 def test_censored_points_are_dropped_and_counted(tree3_d8):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,8 @@ import pytest
 
 from ppmatch import cli, processes
 from ppmatch.errors import ConfigurationError
+
+EXPLICIT12 = Path(__file__).resolve().parent / "golden" / "explicit12.adj"
 
 SMALL = [
     "--set", "graph.depth=5",
@@ -108,6 +111,9 @@ def test_config_hash_skips_deployment_keys(tmp_path):
     ["run.tail_radii=1,,2"],
     ["graph.family=explicit", "graph.adjacency_file=no_such_graph.adj"],
     ["order.r_max=-1"],
+    ["run.tail_radii=-1,0,1"],
+    ["graph.family=explicit", f"graph.adjacency_file={EXPLICIT12}",
+     "run.tail_radii=0,1,-2"],
 ])
 def test_rejected_configs(overrides):
     with pytest.raises(ConfigurationError):
@@ -271,3 +277,17 @@ def test_module_entrypoint(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "summary.json").exists()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a bare import's time and memory, and no
+    # module of the package needs it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import ppmatch.cli, ppmatch.experiments, sys; "
+         "assert 'scipy.stats' not in sys.modules"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -133,7 +133,6 @@ def test_unreachable_vertices_lie_outside_every_ball():
         [np.array([0.5, 0.3, 0.1])], w, [0, 1, 2]
     )
     assert curve.ball_sizes == (1.0, 3.0, 5.0)
-    assert w.ball_size(3) == 6
     assert experiments.set_distance(w, [0], [7]) == UNREACHABLE
     assert not experiments.is_rconnected(w, [0, 7], 11)
     poisson = processes.ProcessSpec.poisson()

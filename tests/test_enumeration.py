@@ -1,12 +1,8 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from ppmatch.enumeration import (
-    connected_subsets_containing,
-    min_rooted_connected_subsets,
-)
+from ppmatch.enumeration import connected_subsets_containing
 from ppmatch.errors import ResourceError
 
 
@@ -109,20 +105,3 @@ def test_allowed_filter():
         connected_subsets_containing(
             4, nbrs, allowed=lambda v: v != 4, max_size=2
         )
-
-
-def test_min_rooted_counts_each_set_once():
-    nbrs = path_neighbors(5)
-    got = min_rooted_connected_subsets(range(5), nbrs, max_size=5)
-    # Connected subsets of a 5-path are its intervals: 5+4+3+2+1
-    assert len(got) == 15
-    assert len(set(got)) == 15
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 7), st.integers(1, 4))
-def test_path_interval_count_formula(n, k):
-    nbrs = path_neighbors(n)
-    got = min_rooted_connected_subsets(range(n), nbrs, max_size=k)
-    want = sum(n - length + 1 for length in range(1, min(k, n) + 1))
-    assert len(got) == want

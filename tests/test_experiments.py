@@ -211,22 +211,6 @@ def test_hole_indicator_average_empty_base(tree3_d5):
 # ---------------------------------------------------------------------------
 
 
-def test_chebyshev_trivial_set_generators(tree3_d5):
-    n = tree3_d5.n
-    full = experiments.verify_chebyshev(
-        tree3_d5, 3, 5, set_generator=lambda pm: np.ones(n, dtype=bool)
-    )
-    # A = everything: both density and bound are exactly 1.
-    assert full.lhs == (1.0, 1.0, 1.0)
-    assert full.rhs == (1.0, 1.0, 1.0)
-    assert full.violations == 0
-    empty = experiments.verify_chebyshev(
-        tree3_d5, 3, 5, set_generator=lambda pm: np.zeros(n, dtype=bool)
-    )
-    assert empty.lhs == (0.0, 0.0, 0.0)
-    assert empty.rhs == (0.0, 0.0, 0.0)
-
-
 def test_chebyshev_occupied_default(tree3_d5):
     rep = experiments.verify_chebyshev(tree3_d5, 4, 9)
     assert rep.lemma_id == "chebyshev_density_boost"
@@ -239,24 +223,11 @@ def test_chebyshev_rejects_amenable(ladder_d10):
         experiments.verify_chebyshev(ladder_d10, 1, 1)
 
 
-def test_chebyshev_rejects_bad_generator_shape(tree3_d5):
-    with pytest.raises(ContractViolationError):
-        experiments.verify_chebyshev(
-            tree3_d5, 1, 1, set_generator=lambda pm: np.ones(3, dtype=bool)
-        )
-
-
 def test_boosted_hall_shapes(tree3_d5):
     cfg = experiments.PipelineConfig(r0=2)
     rep = experiments.verify_boosted_hall(tree3_d5, DEG, DEG, cfg, 2, 3)
     assert rep.lemma_id == "boosted_hall"
     assert rep.n_trials == 2
-    empty = experiments.verify_boosted_hall(
-        tree3_d5, DEG, DEG, cfg, 2, 3,
-        set_generator=lambda res: np.array([], dtype=np.int64),
-    )
-    assert empty.lhs == (0.0, 0.0)
-    assert empty.rhs == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -320,19 +291,6 @@ def test_discrepancy_reports_by_grown_size(tree3_d5):
     assert 0.0 <= rep.extras["violation_rate"] <= 1.0
     assert all(isinstance(k, int) for k in rep.extras["sizes"])
     assert rep.n_trials == 40
-
-
-def test_singleton_violation_probability_oracle():
-    # P(Poisson(4) < L), L ~ Poisson(1), by direct convolution.
-    from scipy import stats as st
-
-    want = sum(
-        math.exp(-1) / math.factorial(k) * st.poisson.cdf(k - 1, 4.0)
-        for k in range(1, 80)
-    )
-    got = experiments.singleton_violation_probability(4.0)
-    assert got == pytest.approx(want, abs=1e-12)
-    assert got == pytest.approx(0.0472296967535, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

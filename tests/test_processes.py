@@ -46,6 +46,14 @@ def test_poisson_moments(tree3_d8):
     assert pm.origin_vertex is None and pm.discarded == 0
 
 
+def test_poisson_cdf_table_matches_scipy_stats():
+    from scipy import stats
+
+    assert np.array_equal(
+        processes._poisson_cdf(), stats.poisson.cdf(np.arange(36), 1.0)
+    )
+
+
 def test_degenerate_sample_is_vertex_set(tree3_d8):
     pm = processes.sample(processes.ProcessSpec.degenerate(), tree3_d8, derive("deg"))
     np.testing.assert_array_equal(pm.counts, np.ones(tree3_d8.n, dtype=np.int64))
