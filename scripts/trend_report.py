@@ -15,11 +15,13 @@ the censored boundary shell necessarily does.
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from ppmatch import experiments, processes, radii
+from ppmatch.errors import PpmatchError
 from ppmatch.graphs import GraphFamily, build_window
 from ppmatch.seeds import derive_seed
 
@@ -94,9 +96,13 @@ def main():
     args.out.mkdir(parents=True, exist_ok=True)
     summary = {}
     for depth in args.depths:
-        summary[str(depth)] = run_depth(
-            depth, args.trials, args.seed, args.out, args.max_stage
-        )
+        try:
+            summary[str(depth)] = run_depth(
+                depth, args.trials, args.seed, args.out, args.max_stage
+            )
+        except PpmatchError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            sys.exit(2)
         s = summary[str(depth)]
         print(
             f"depth {depth}: n={s['n_vertices']} tail_slope={s['tail_slope']:+.4f} "

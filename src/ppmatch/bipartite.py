@@ -13,7 +13,6 @@ report carried by the graph.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -87,12 +86,10 @@ class MatchGraph:
         np.add.at(self.indptr_right, arr_r[:, 1] + 1, 1)
         np.cumsum(self.indptr_right, out=self.indptr_right)
         self.indices_right = arr_r[:, 0].copy()
-        self.tags_right = arr_r[:, 2].astype(np.int8)
         for a in (
             self.left_vertex, self.left_slot, self.right_vertex,
             self.right_slot, self.indptr_left, self.indices_left,
             self.tags_left, self.indptr_right, self.indices_right,
-            self.tags_right,
         ):
             a.setflags(write=False)
 
@@ -226,38 +223,6 @@ def neighborhood(g: MatchGraph, pids: Iterable[int]) -> np.ndarray:
         for p in ids:
             out.update(int(i) for i in g.left_neighbors(p - g.n_left))
     return np.asarray(sorted(out), dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class DensityEstimate:
-    """Spatial average of a point set over core vertices."""
-
-    value: float
-    stderr: float
-    core_size: int
-    trials: int
-
-
-def density(point_vertices: Sequence[int], core: Sequence[int]) -> DensityEstimate:
-    """Mean number of the given points per core vertex.
-
-    The standard error is the spatial sample error across core vertices
-    for a single realization; experiments aggregate across trials.
-    """
-    core_arr = np.asarray(core, dtype=np.int64)
-    if len(core_arr) == 0:
-        raise ContractViolationError("density needs a non-empty core")
-    pv = np.asarray(point_vertices, dtype=np.int64)
-    core_set = np.zeros(int(max(core_arr.max(), pv.max() if len(pv) else 0)) + 1)
-    counts = np.zeros_like(core_set)
-    if len(pv):
-        np.add.at(counts, pv, 1.0)
-    per_vertex = counts[core_arr]
-    value = float(per_vertex.mean())
-    spread = float(per_vertex.std(ddof=1)) if len(core_arr) > 1 else 0.0
-    return DensityEstimate(
-        value, spread / math.sqrt(len(core_arr)), len(core_arr), 1
-    )
 
 
 def dump_graph(g: MatchGraph) -> list[str]:

@@ -15,7 +15,6 @@ import argparse
 import configparser
 import hashlib
 import json
-import math
 import multiprocessing
 import sys
 import time
@@ -478,12 +477,7 @@ def _cmd_verify(cfg: RunConfig) -> dict:
                 w, cfg.spec_left, cfg.spec_right,
                 derive_seed(cfg.seed, "pn"), cfg.pipeline,
             )
-            stages = res.reports
-            if len(stages) < 3:
-                raise ConfigurationError(
-                    "pn experiment needs matcher.max_stage >= 3"
-                )
-            decay = experiments.pn_decay(stages)
+            decay = experiments.pn_decay(res.reports)
             lines = ["stage,p_left,p_right,halving_reference"]
             for k, s in enumerate(decay.stages):
                 lines.append(

@@ -88,11 +88,11 @@ def sample_radius_fields(
     right = processes.sample(spec_right, window, derive_seed(seed, "right"))
     field_left = radii.compute_radius_field(
         left, right, window, cfg.r0, mode=cfg.mode,
-        radius_cap=cfg.radius_cap, size_cap=cfg.size_cap, side="left",
+        radius_cap=cfg.radius_cap, size_cap=cfg.size_cap,
     )
     field_right = radii.compute_radius_field(
         right, left, window, cfg.r0, mode=cfg.mode,
-        radius_cap=cfg.radius_cap, size_cap=cfg.size_cap, side="right",
+        radius_cap=cfg.radius_cap, size_cap=cfg.size_cap,
     )
     return left, right, field_left, field_right
 
@@ -842,7 +842,10 @@ def pn_decay(reports: list[matching_mod.StageReport]) -> PnDecay:
     asserted; the comparison against 2^-n is reported only.
     """
     if len(reports) < 3:
-        raise ValueError("need at least 3 stages for a decay table")
+        raise ConfigurationError(
+            f"a p_n decay table needs at least 3 stages, got {len(reports)}; "
+            "raise max_stage to 3 or more"
+        )
     p_l = [r.p_left for r in reports]
     p_r = [r.p_right for r in reports]
     for seq in (p_l, p_r):

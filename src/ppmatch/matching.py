@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,15 +76,13 @@ class Matching:
     """A partial injective pairing of left and right points.
 
     matchL[i] is the right local id matched to left i, or -1; matchR is
-    the reverse index.  flip_counts tracks how many times each edge
-    changed state.
+    the reverse index.
     """
 
     def __init__(self, g: MatchGraph):
         self.g = g
         self.matchL = np.full(g.n_left, -1, dtype=np.int64)
         self.matchR = np.full(g.n_right, -1, dtype=np.int64)
-        self.flip_counts: Counter[tuple[int, int]] = Counter()
 
     @property
     def size(self) -> int:
@@ -269,12 +267,10 @@ def flip(m: Matching, c: Chain) -> None:
         if k % 2 == 1:
             m.matchL[i] = -1
             m.matchR[j] = -1
-            m.flip_counts[(i, j)] += 1
     for k, (i, j) in enumerate(edges):
         if k % 2 == 0:
             m.matchL[i] = j
             m.matchR[j] = i
-            m.flip_counts[(i, j)] += 1
 
 
 def _chain_ends(g: MatchGraph, m: Matching) -> tuple[np.ndarray, np.ndarray]:

@@ -7,12 +7,13 @@ gets the base radius.  Every other vertex searches for the smallest
 radius r at which the opposite process dominates the own process over
 an enumerated family of 4r-connected vertex sets containing it.
 
-Enumeration runs in one of two modes.  Exact mode walks every
-4r-connected subset of the window containing the vertex (the per-vertex
-test oracle, exponential).  Support mode checks only the connected
-component of the vertex in the 4r-proximity graph on the occupied
-vertices, a documented under-approximation that can only lower the
-resulting radius; its fields take one vectorised pass per radius.
+Clause 2 runs in one of two modes.  Exact mode asks the yes/no check
+`constraint_holds` per vertex and radius; it walks every 4r-connected
+subset of the window containing the vertex (the per-vertex test oracle,
+exponential).  Support mode checks only the connected component of the
+vertex in the 4r-proximity graph on the occupied vertices, a documented
+under-approximation that can only lower the resulting radius; its fields
+take one vectorised pass per radius.
 
 Any quantity whose value would depend on data outside the window is
 explicitly censored, never silently defaulted.
@@ -20,9 +21,8 @@ explicitly censored, never silently defaulted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,20 +33,15 @@ from .processes import PointMultiset, count_in
 
 CENSORED = -1
 
-HOLDS = "holds"
-VIOLATED = "violated"
-TRUNCATED = "truncated"
-CENSORED_STATUS = "censored"
-
 EXACT = "exact"
 SUPPORT = "support"
 
-
-def _as_fraction(threshold) -> Fraction:
-    if isinstance(threshold, Fraction):
-        return threshold
-    # Decimal-string round trip keeps 0.9 meaning 9/10, not the binary float.
-    return Fraction(str(threshold))
+# A vertex is deficient when its half-ball holds at most this fraction
+# of the expected opposite count.
+DEFICIENCY = Fraction(9, 10)
+# Exact mode answers no for a vertex and radius whose enumeration
+# reaches this many candidate sets.
+COUNT_CAP = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -62,109 +57,32 @@ class BadSet:
 
     member: np.ndarray
     censored: np.ndarray
-    r0: int
-    threshold: Fraction
 
     @property
     def count(self) -> int:
         return int(np.count_nonzero(self.member))
 
 
-def compute_bad_set(
-    other: PointMultiset,
-    window: GraphWindow,
-    r0: int,
-    threshold=Fraction(9, 10),
-) -> BadSet:
+def compute_bad_set(other: PointMultiset, window: GraphWindow, r0: int) -> BadSet:
     if r0 < 2 or r0 % 2 != 0:
         raise ConfigurationError(f"r0 must be an even integer >= 2, got {r0}")
-    thr = _as_fraction(threshold)
     half = r0 // 2
     ball = window.ball_counts(other.counts, half)
     # A half-ball inside the window is the whole infinite-graph ball, so
     # its window size is the expected count; other vertices are censored.
     expected = window.ball_counts(np.ones(window.n, dtype=np.int64), half)
     censored = ~window.ball_ok(half)
-    member = (~censored) & (ball * thr.denominator <= thr.numerator * expected)
+    member = (~censored) & (
+        ball * DEFICIENCY.denominator <= DEFICIENCY.numerator * expected
+    )
     member.setflags(write=False)
     censored.setflags(write=False)
-    return BadSet(member, censored, r0, thr)
-
-
-# ---------------------------------------------------------------------------
-# Connected-set enumeration over the proximity graph
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConnectedSetQuery:
-    """Enumeration parameters: center vertex, connectivity gap, caps."""
-
-    center: int
-    gap: int
-    size_cap: int
-    count_cap: int = 200_000
-
-    def __post_init__(self):
-        if self.gap < 1:
-            raise ConfigurationError("connectivity gap must be >= 1")
-        if self.count_cap < 1:
-            raise ConfigurationError("caps must be positive")
-
-
-def enumerate_rconnected(
-    pm: PointMultiset | None,
-    window: GraphWindow,
-    q: ConnectedSetQuery,
-    mode: str = SUPPORT,
-) -> tuple[list[frozenset[int]], bool]:
-    """Candidate vertex sets containing q.center, per the chosen mode.
-
-    Exact mode yields every gap-connected subset of the window containing
-    the center, up to q.size_cap members, each exactly once; hitting
-    q.count_cap abandons the stream with truncated=True.  Support mode
-    yields the single component of the center in the gap-proximity graph
-    on supp(pm) + {center}.
-    """
-    if mode == EXACT:
-        if q.size_cap < 1:
-            return [], True
-
-        # The enumeration asks for the same vertex's proximity list once
-        # per extension; one truncated row per vertex serves them all.
-        near_of: dict[int, list[int]] = {}
-
-        def prox(u: int) -> list[int]:
-            got = near_of.get(u)
-            if got is None:
-                near = np.nonzero(window.dist_row(u, q.gap) <= q.gap)[0]
-                got = near_of[u] = [int(w) for w in near if w != u]
-            return got
-
-        return connected_subsets_containing(
-            q.center, prox, max_size=q.size_cap,
-            cap=q.count_cap, cap_mode="truncate",
-        )
-    if mode != SUPPORT:
-        raise ConfigurationError(f"unknown enumeration mode {mode!r}")
-    if pm is None:
-        raise ConfigurationError("support mode needs the own-side multiset")
-    verts = np.union1d(pm.support, [q.center])
-    lab = GapComponents(window, verts).labels(q.gap)
-    comp = verts[lab == lab[np.searchsorted(verts, q.center)]]
-    return [frozenset(int(u) for u in comp)], False
+    return BadSet(member, censored)
 
 
 # ---------------------------------------------------------------------------
 # The domination constraint
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstraintResult:
-    status: str
-    witness: frozenset[int] | None = None
-    sets_checked: int = 0
 
 
 def _holds(complete, own_count, other_count, r: int):
@@ -180,45 +98,46 @@ def constraint_holds(
     window: GraphWindow,
     v: int,
     r: int,
-    mode: str = SUPPORT,
     *,
     size_cap: int | None = None,
-    count_cap: int = 200_000,
-) -> ConstraintResult:
-    """Check that the opposite process dominates over every enumerated
-    4r-connected set containing v: |other on U^{+r}| >= r * |own on U|.
+) -> bool:
+    """Exact mode's check: the opposite process dominates over every
+    4r-connected vertex set U containing v, |other on U^{+r}| >= r *
+    |own on U|, by the rule of `_holds`.
 
-    A set whose right-hand side is zero holds regardless of window
-    boundaries; any other set whose r-enlargement leaves the window makes
-    the result censored.  A definite violation (complete enlargement,
-    counts fail) short-circuits with the witness set.
+    False at the first set that fails, including a set with own points
+    whose r-enlargement leaves the window.  True only when the family
+    was exhausted: a cut at size_cap members or COUNT_CAP sets leaves
+    unchecked sets, so the answer is False.
     """
     if r < 1:
         raise ConfigurationError("constraint radius must be >= 1")
     gap = 4 * r
-    cap = size_cap if size_cap is not None else window.n
-    q = ConnectedSetQuery(v, gap, cap, count_cap)
 
-    sets, truncated = enumerate_rconnected(own, window, q, mode)
-    censored_any = False
-    checked = 0
+    # The enumeration asks for the same vertex's proximity list once per
+    # extension; one truncated row per vertex serves them all.
+    near_of: dict[int, list[int]] = {}
+
+    def prox(u: int) -> list[int]:
+        got = near_of.get(u)
+        if got is None:
+            near = np.nonzero(window.dist_row(u, gap) <= gap)[0]
+            got = near_of[u] = [int(w) for w in near if w != u]
+        return got
+
+    sets, truncated = connected_subsets_containing(
+        v, prox, max_size=size_cap if size_cap is not None else window.n,
+        cap=COUNT_CAP,
+    )
     for u_set in sets:
-        checked += 1
         members = np.fromiter(u_set, dtype=np.int64)
-        complete = window.ball_complete(members, r)
-        own_count = count_in(own, members)
         other_count = int(other.counts[window.dist_from(members, r) <= r].sum())
-        if _holds(complete, own_count, other_count, r):
-            continue
-        if not complete:
-            censored_any = True
-        else:
-            return ConstraintResult(VIOLATED, u_set, checked)
-    if censored_any:
-        return ConstraintResult(CENSORED_STATUS, None, checked)
-    if truncated:
-        return ConstraintResult(TRUNCATED, None, checked)
-    return ConstraintResult(HOLDS, None, checked)
+        if not _holds(
+            window.ball_complete(members, r), count_in(own, members),
+            other_count, r,
+        ):
+            return False
+    return not truncated
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +157,7 @@ class RadiusField:
     values: np.ndarray
     censored: np.ndarray
     clause: np.ndarray
-    side: str
     mode: str
-    r0: int
-    radius_cap: int
-    size_cap: int | None
-    bad: BadSet
 
     @property
     def n_censored(self) -> int:
@@ -259,9 +173,6 @@ def compute_radius_field(
     *,
     radius_cap: int | None = None,
     size_cap: int | None = None,
-    threshold=Fraction(9, 10),
-    count_cap: int = 200_000,
-    side: str = "left",
 ) -> RadiusField:
     """Apply the two-clause radius rule to every window vertex.
 
@@ -269,14 +180,16 @@ def compute_radius_field(
     vertex is deficiency-free and the own count is at most r0.  Clause 2
     searches r = r0+1, r0+2, ... for the least radius whose domination
     constraint holds under the configured mode; vertices unresolved at
-    radius_cap are censored.
+    radius_cap are censored.  size_cap bounds exact mode's sets.
     """
     if r0 < 2 or r0 % 2 != 0:
         raise ConfigurationError(f"r0 must be an even integer >= 2, got {r0}")
+    if mode not in (EXACT, SUPPORT):
+        raise ConfigurationError(f"unknown radius mode {mode!r}")
     cap = radius_cap if radius_cap is not None else r0 + 8
     if cap <= r0:
         raise ConfigurationError("radius_cap must exceed r0")
-    bad = compute_bad_set(other, window, r0, threshold)
+    bad = compute_bad_set(other, window, r0)
     half = r0 // 2
 
     bad_near = window.ball_counts(bad.member, half) > 0
@@ -302,11 +215,9 @@ def compute_radius_field(
         found = np.zeros(len(pending), dtype=np.int32)
         for k, v in enumerate(pending):
             for r in range(r0 + 1, cap + 1):
-                status = constraint_holds(
-                    own, other, window, int(v), r, mode,
-                    size_cap=size_cap, count_cap=count_cap,
-                ).status
-                if status == HOLDS:
+                if constraint_holds(
+                    own, other, window, int(v), r, size_cap=size_cap
+                ):
                     found[k] = r
                     break
     settled = found > 0
@@ -316,9 +227,7 @@ def compute_radius_field(
 
     for a in (values, clause, censored):
         a.setflags(write=False)
-    return RadiusField(
-        values, censored, clause, side, mode, r0, cap, size_cap, bad
-    )
+    return RadiusField(values, censored, clause, mode)
 
 
 def _support_radii(

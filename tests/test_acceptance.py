@@ -221,10 +221,10 @@ def test_criterion_09_support_mode_below_exact_mode():
             processes.ProcessSpec.poisson(), w, derive_seed(9, "oth", s)
         )
         sup = radii.compute_radius_field(
-            own, other, w, 2, mode=radii.SUPPORT, size_cap=None, side="left"
+            own, other, w, 2, mode=radii.SUPPORT, size_cap=None
         )
         exa = radii.compute_radius_field(
-            own, other, w, 2, mode=radii.EXACT, size_cap=None, side="left"
+            own, other, w, 2, mode=radii.EXACT, size_cap=None
         )
         # The single-component check is among the sets the exhaustive
         # mode tests, so wherever exact resolves, support resolves too

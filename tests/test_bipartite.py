@@ -1,13 +1,11 @@
 import numpy as np
-import pytest
 
 from ppmatch import bipartite, processes, radii
-from conftest import derive
 
 
 def make_fields(window, own, other, r0=4):
-    fl = radii.compute_radius_field(own, other, window, r0, side="left")
-    fr = radii.compute_radius_field(other, own, window, r0, side="right")
+    fl = radii.compute_radius_field(own, other, window, r0)
+    fr = radii.compute_radius_field(other, own, window, r0)
     return fl, fr
 
 
@@ -38,21 +36,19 @@ def test_edge_rule_uses_max_of_the_two_radii():
     left = processes.multiset_from_counts([1, 0, 0, 0, 0, 0, 0])
     right = processes.multiset_from_counts([0, 0, 0, 1, 0, 0, 0])
 
-    def field(values, side):
+    def field(values):
         vals = np.asarray(values, dtype=np.int32)
         return radii.RadiusField(
-            vals, np.zeros(7, bool), np.full(7, 1, np.int8), side,
-            radii.SUPPORT, 2, 10, None,
-            radii.compute_bad_set(right, w, 2),
+            vals, np.zeros(7, bool), np.full(7, 1, np.int8), radii.SUPPORT
         )
 
     g = bipartite.build_match_graph(
-        left, right, field([1] * 7, "left"), field([3] * 7, "right"), w
+        left, right, field([1] * 7), field([3] * 7), w
     )
     assert g.n_edges == 1
     assert g.tags_left[0] == bipartite.TAG_FROM_RIGHT
     g2 = bipartite.build_match_graph(
-        left, right, field([1] * 7, "left"), field([2] * 7, "right"), w
+        left, right, field([1] * 7), field([2] * 7), w
     )
     assert g2.n_edges == 0
 
@@ -97,13 +93,6 @@ def test_graph_from_point_edges_and_neighborhood():
     np.testing.assert_array_equal(
         bipartite.neighborhood(g, []), np.empty(0, dtype=np.int64)
     )
-
-
-def test_density_core_restriction():
-    est = bipartite.density([0, 0, 3, 9], core=[0, 1, 2, 3])
-    assert est.value == pytest.approx(3 / 4)
-    est_all = bipartite.density([], core=[0, 1])
-    assert est_all.value == 0.0
 
 
 def test_dump_graph_lines(tree3_d8):

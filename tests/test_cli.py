@@ -230,6 +230,19 @@ def test_verify_pn_needs_three_stages(tmp_path, capsys):
     assert "max_stage" in capsys.readouterr().err
 
 
+def test_trend_report_rejects_short_stage_cap(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "trend_report.py"),
+         "--depths", "4", "--trials", "1", "--max-stage", "2",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "max_stage" in proc.stderr
+
+
 def test_unknown_experiment_exits_with_error(tmp_path, capsys):
     rc = cli.main(
         ["verify", "--set", "run.experiments=nope",

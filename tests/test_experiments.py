@@ -369,7 +369,7 @@ def test_pn_decay_halving():
 
 
 def test_pn_decay_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="max_stage"):
         experiments.pn_decay(fake_reports([0.4, 0.2]))
     with pytest.raises(ContractViolationError):
         experiments.pn_decay(fake_reports([0.4, 0.5, 0.1]))

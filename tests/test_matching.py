@@ -139,7 +139,6 @@ def test_flip_validates_alternation():
     c = matching.Chain.canonical((0, 2), ranks)
     matching.flip(m, c)
     assert m.matchL[0] == 0
-    assert m.flip_counts[(0, 0)] == 1
     with pytest.raises(ContractViolationError):
         matching.flip(m, c)  # endpoints now matched: stale chain
     bad = matching.Chain((1, 2))
@@ -155,15 +154,14 @@ def test_flip_rejects_repeated_points():
         matching.flip(m, dup)
 
 
-def test_flip_counts_accumulate_per_edge():
+def test_flip_unmakes_the_matched_edge_of_a_longer_chain():
     g = bipartite.graph_from_point_edges([0, 1], [0, 1], [(0, 0), (0, 1), (1, 1)])
     ranks = index_ranks(g)
     m = fresh(g)
     matching.flip(m, matching.Chain.canonical((0, 3), ranks))  # L0-R1
+    # L1-R1-L0-R0: L0-R1 is unmade, L1-R1 and L0-R0 are made.
     matching.flip(m, matching.Chain.canonical((1, 3, 0, 2), ranks))
     assert m.matchL[0] == 0 and m.matchL[1] == 1
-    # L0-R1 was made then unmade: two touches.
-    assert m.flip_counts[(0, 1)] == 2
 
 
 def test_shortest_chain_length_certificate():

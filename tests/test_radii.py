@@ -1,10 +1,9 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppmatch import processes, radii
+from ppmatch.enumeration import connected_subsets_containing
 from ppmatch.errors import ConfigurationError
 from ppmatch.graphs import GraphFamily, build_window
 from conftest import attach_tree_adjacency, bfs_oracle, derive, graphs
@@ -42,7 +41,6 @@ def test_bad_set_threshold_is_exact_rational(tree3_d8):
     pm = processes.multiset_from_counts(counts)
     bad = radii.compute_bad_set(pm, tree3_d8, 4)
     assert bool(bad.member[0])
-    assert bad.threshold == Fraction(9, 10)
 
 
 def test_bad_set_guards():
@@ -55,7 +53,7 @@ def test_bad_set_guards():
 
 def test_degenerate_field_is_r0_on_interior(tree3_d8):
     own = v_set(tree3_d8)
-    fld = radii.compute_radius_field(own, own, tree3_d8, 4, side="left")
+    fld = radii.compute_radius_field(own, own, tree3_d8, 4)
     # Undecidability spreads half a radius inward from the bad-set
     # censoring shell (depth > 6), so the decided interior is depth <= 4,
     # which with margin 4 is exactly the core.
@@ -68,7 +66,7 @@ def test_degenerate_field_is_r0_on_interior(tree3_d8):
 
 def test_field_arrays_are_write_locked(tree3_d8):
     own = v_set(tree3_d8)
-    fld = radii.compute_radius_field(own, own, tree3_d8, 4, side="left")
+    fld = radii.compute_radius_field(own, own, tree3_d8, 4)
     with pytest.raises(ValueError):
         fld.values[0] = 99
 
@@ -79,55 +77,75 @@ def test_clause2_triggers_on_crowded_vertex(tree3_d8):
     counts = np.zeros(tree3_d8.n, dtype=np.int64)
     counts[0] = 5
     own = processes.multiset_from_counts(counts)
-    fld = radii.compute_radius_field(own, v_set(tree3_d8), tree3_d8, 4, side="left")
+    fld = radii.compute_radius_field(own, v_set(tree3_d8), tree3_d8, 4)
     assert not fld.censored[0]
     assert fld.clause[0] == 2
     assert fld.values[0] == 5  # b_5 = 94 >= 25
 
 
 def test_constraint_holds_vacuous_and_violated():
-    fam = parse = GraphFamily.explicit(
+    fam = GraphFamily.explicit(
         [[1], [0, 2], [1, 3], [2, 4], [3]]
     )
     w = build_window(fam, 0, 0)
     own = processes.multiset_from_counts([0, 0, 3, 0, 0])
     other = empty_set(w)
-    res = radii.constraint_holds(own, other, w, 2, 1, mode=radii.EXACT, size_cap=5)
-    assert res.status == radii.VIOLATED
-    assert 2 in res.witness
-    res_s = radii.constraint_holds(own, other, w, 2, 1, mode=radii.SUPPORT)
-    assert res_s.status == radii.VIOLATED
-    assert res_s.witness == frozenset({2})
+    assert not radii.constraint_holds(own, other, w, 2, 1, size_cap=5)
     # No own points anywhere: every set is vacuous.
-    res2 = radii.constraint_holds(empty_set(w), other, w, 2, 1, mode=radii.EXACT, size_cap=5)
-    assert res2.status == radii.HOLDS
+    assert radii.constraint_holds(empty_set(w), other, w, 2, 1, size_cap=5)
+    # The same vacuous family cut off at 2 members is not exhausted.
+    assert not radii.constraint_holds(empty_set(w), other, w, 2, 1, size_cap=2)
     with pytest.raises(ConfigurationError):
         radii.constraint_holds(own, other, w, 2, 0)
 
 
-def test_support_mode_checks_single_component():
-    fam = GraphFamily.explicit(
-        [[1], [0, 2], [1, 3], [2, 4], [3, 5], [4, 6], [5, 7], [6, 8], [7]]
-    )
-    w = build_window(fam, 0, 0)
-    own = processes.multiset_from_counts([1, 0, 0, 0, 0, 0, 0, 0, 1])
-    other = v_set(w)
-    q = radii.ConnectedSetQuery(0, 4, 9)
-    sets, truncated = radii.enumerate_rconnected(own, w, q, mode=radii.SUPPORT)
+def test_exact_mode_enumerates_all_gap_connected_sets(monkeypatch):
+    # On the 13-path at r = 1 (gap 4), vertices 0, 4, 8 and 12 form a
+    # 4-path of the proximity graph: among them, the sets through 4 that
+    # exact mode checks are the six intervals through 4.
+    n = 13
+    adj = [[u for u in (v - 1, v + 1) if 0 <= u < n] for v in range(n)]
+    w = build_window(GraphFamily.explicit(adj), 0, 0)
+    seen = []
+
+    def spy(*args, **kwargs):
+        out = connected_subsets_containing(*args, **kwargs)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(radii, "connected_subsets_containing", spy)
+    assert radii.constraint_holds(empty_set(w), empty_set(w), w, 4, 1)
+    (sets, truncated), = seen
     assert not truncated
-    assert len(sets) == 1
-    # gap 4 < dist(0, 8) = 8: the far point is not in 0's component
-    assert sets[0] == frozenset({0})
+    assert len(sets) == len(set(sets))
+    spaced = [sorted(u) for u in sets if u <= {0, 4, 8, 12}]
+    assert sorted(spaced) == [
+        [0, 4], [0, 4, 8], [0, 4, 8, 12], [4], [4, 8], [4, 8, 12]
+    ]
 
 
-def test_exact_mode_enumerates_all_gap_connected_sets():
-    fam = GraphFamily.explicit([[1], [0, 2], [1, 3], [2]])
-    w = build_window(fam, 0, 0)
-    q = radii.ConnectedSetQuery(1, 1, 4)
-    sets, truncated = radii.enumerate_rconnected(None, w, q, mode=radii.EXACT)
-    assert not truncated
-    # Intervals of the 4-path through vertex 1
-    assert len(sets) == 6
+def test_exact_mode_resolves_clause2_above_r0():
+    # A pile of 5 own points mid-path, 3 other points everywhere: clause
+    # 1 fails only at the pile, and exact mode must find the least r with
+    # every 4r-connected set through it dominated.  At r = 3 the set {4}
+    # has 7 * 3 = 21 >= 15 other points in its 3-ball; larger sets add
+    # vertices with no own points.
+    n = 9
+    adj = [[u for u in (v - 1, v + 1) if 0 <= u < n] for v in range(n)]
+    w = build_window(GraphFamily.explicit(adj), 0, 0)
+    own = processes.multiset_from_counts([0, 0, 0, 0, 5, 0, 0, 0, 0])
+    other = processes.multiset_from_counts([3] * n)
+    fld = radii.compute_radius_field(own, other, w, 2, mode=radii.EXACT)
+    assert fld.clause.tolist() == [1, 1, 1, 1, 2, 1, 1, 1, 1]
+    assert fld.values[4] == 3
+    assert not fld.censored.any()
+
+
+def test_unknown_mode_is_rejected(tree3_d8):
+    with pytest.raises(ConfigurationError, match="unknown radius mode"):
+        radii.compute_radius_field(
+            v_set(tree3_d8), v_set(tree3_d8), tree3_d8, 4, mode="nope"
+        )
 
 
 def test_support_never_exceeds_exact_small_instances():
@@ -139,10 +157,10 @@ def test_support_never_exceeds_exact_small_instances():
         own = processes.sample(processes.ProcessSpec.poisson(), w, derive("own", s))
         other = processes.sample(processes.ProcessSpec.poisson(), w, derive("oth", s))
         f_sup = radii.compute_radius_field(
-            own, other, w, 2, mode=radii.SUPPORT, size_cap=None, side="left"
+            own, other, w, 2, mode=radii.SUPPORT, size_cap=None
         )
         f_ex = radii.compute_radius_field(
-            own, other, w, 2, mode=radii.EXACT, size_cap=None, side="left"
+            own, other, w, 2, mode=radii.EXACT, size_cap=None
         )
         for v in range(w.n):
             if not f_ex.censored[v]:
@@ -302,7 +320,7 @@ def test_radius_cap_censors_unresolved(tree3_d8):
     counts[0] = 6
     own = processes.multiset_from_counts(counts)
     fld = radii.compute_radius_field(
-        own, empty_set(tree3_d8), tree3_d8, 4, radius_cap=6, side="left"
+        own, empty_set(tree3_d8), tree3_d8, 4, radius_cap=6
     )
     assert fld.censored[0]
     assert fld.values[0] == radii.CENSORED
@@ -312,13 +330,13 @@ def test_radius_cap_guard(tree3_d8):
     with pytest.raises(ConfigurationError):
         radii.compute_radius_field(
             v_set(tree3_d8), v_set(tree3_d8), tree3_d8, 4,
-            radius_cap=4, side="left",
+            radius_cap=4,
         )
 
 
 def test_components_above_empty_and_degenerate(tree3_d8):
     own = v_set(tree3_d8)
-    fld = radii.compute_radius_field(own, own, tree3_d8, 4, side="left")
+    fld = radii.compute_radius_field(own, own, tree3_d8, 4)
     comps = radii.components_above(fld, tree3_d8, 4)
     # Only the censored boundary shell is above r0; it is 16-connected.
     assert len(comps) == 1
@@ -336,9 +354,7 @@ def test_components_above_separates_distant_pockets():
     values[0] = 9
     values[29] = 9
     fld = radii.RadiusField(
-        values, np.zeros(30, bool), np.full(30, 2, np.int8),
-        "left", radii.SUPPORT, 2, 10, None,
-        radii.compute_bad_set(v_set(w), w, 2),
+        values, np.zeros(30, bool), np.full(30, 2, np.int8), radii.SUPPORT
     )
     comps = radii.components_above(fld, w, 2)
     # gap 8 < 29: the two pockets stay separate components.
@@ -348,7 +364,7 @@ def test_components_above_separates_distant_pockets():
 
 def test_dump_radius_field_format(tree3_d8):
     own = v_set(tree3_d8)
-    fld = radii.compute_radius_field(own, own, tree3_d8, 4, side="left")
+    fld = radii.compute_radius_field(own, own, tree3_d8, 4)
     lines = radii.dump_radius_field(fld)
     assert len(lines) == tree3_d8.n
     assert lines[0] == "0 4 support clause1"
