@@ -37,8 +37,6 @@ class CensorReport:
 
     left_points_dropped: int
     right_points_dropped: int
-    left_vertices: tuple[int, ...]
-    right_vertices: tuple[int, ...]
 
 
 class MatchGraph:
@@ -65,7 +63,7 @@ class MatchGraph:
         self.n_left = len(self.left_vertex)
         self.n_right = len(self.right_vertex)
         self.window = window
-        self.censor = censor or CensorReport(0, 0, (), ())
+        self.censor = censor or CensorReport(0, 0)
 
         if edges:
             arr = np.asarray(edges, dtype=np.int64)
@@ -127,19 +125,15 @@ def build_match_graph(
     keep_r = ~field_right.censored
     occ_l = np.nonzero((left.counts > 0) & keep_l)[0]
     occ_r = np.nonzero((right.counts > 0) & keep_r)[0]
-    dropped_l = np.nonzero((left.counts > 0) & ~keep_l)[0]
-    dropped_r = np.nonzero((right.counts > 0) & ~keep_r)[0]
     censor = CensorReport(
-        int(left.counts[dropped_l].sum()),
-        int(right.counts[dropped_r].sum()),
-        tuple(int(v) for v in dropped_l),
-        tuple(int(v) for v in dropped_r),
+        int(left.counts[~keep_l].sum()), int(right.counts[~keep_r].sum())
     )
 
-    left_vertex = np.repeat(occ_l, left.counts[occ_l])
-    left_slot = _slots(left.counts[occ_l])
-    right_vertex = np.repeat(occ_r, right.counts[occ_r])
-    right_slot = _slots(right.counts[occ_r])
+    # The kept points, in the multisets' own vertex-then-slot order.
+    kept_l = keep_l[left.point_vertex]
+    kept_r = keep_r[right.point_vertex]
+    left_vertex, left_slot = left.point_vertex[kept_l], left.point_slot[kept_l]
+    right_vertex, right_slot = right.point_vertex[kept_r], right.point_slot[kept_r]
 
     # Point id of the first point at each occupied vertex.
     start_l = np.concatenate(([0], np.cumsum(left.counts[occ_l])))
@@ -170,15 +164,6 @@ def build_match_graph(
         left_vertex, left_slot, right_vertex, right_slot, edges,
         window=window, censor=censor,
     )
-
-
-def _slots(counts: np.ndarray) -> np.ndarray:
-    if len(counts) == 0:
-        return np.empty(0, dtype=np.int64)
-    total = int(counts.sum())
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return np.arange(total, dtype=np.int64) - offsets[owner] + 1
 
 
 def graph_from_point_edges(

@@ -1,13 +1,13 @@
 """Enumeration of connected vertex subsets of a graph.
 
 Used by exact radius mode's `radii.constraint_holds`, where connectivity
-is taken in a proximity graph and the stream is cut at a size and a
-count cap.
+is taken in a proximity graph and the sets are drawn lazily, one at a
+time, until one of them decides the check.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 
 def connected_subsets_containing(
@@ -15,51 +15,39 @@ def connected_subsets_containing(
     neighbors: Callable[[int], Iterable[int]],
     *,
     max_size: int,
-    cap: int = 2_000_000,
-) -> tuple[list[frozenset[int]], bool]:
-    """All connected subsets containing `root`, up to `max_size` vertices.
+) -> Iterator[frozenset[int]]:
+    """Yield every connected subset containing `root` with at most
+    `max_size` vertices, each exactly once, in depth-first order.
 
-    Connectivity is with respect to the `neighbors` oracle.  Each subset
-    is produced exactly once.  Returns (subsets, truncated) where
-    `truncated` is True when the family was cut off rather than
-    exhausted: some subset of maximal size still had an unexplored
-    extension, or the stream was abandoned after `cap` subsets.
+    Connectivity is with respect to the `neighbors` oracle, which is
+    asked about a vertex only when a set containing it is extended.  The
+    walk keeps its own stack, one frame per member of the current set,
+    so set size is not bounded by Python's recursion limit.
     """
     if max_size < 1:
-        return [], True
+        return
+    current: set[int] = set()
 
-    results: list[frozenset[int]] = []
-    truncated = False
-    stopped = False
+    def fresh(v: int, seen: set[int]) -> list[int]:
+        return sorted(w for w in neighbors(v) if w not in current and w not in seen)
 
-    def fresh_neighbors(v: int, used: set[int], seen: set[int]) -> list[int]:
-        return sorted(w for w in neighbors(v) if w not in used and w not in seen)
-
-    def rec(current: set[int], cand: list[int], banned: set[int]) -> None:
-        nonlocal truncated, stopped
-        if stopped:
-            return
-        if len(results) >= cap:
-            truncated = True
-            stopped = True
-            return
-        results.append(frozenset(current))
-        if len(current) == max_size:
-            if cand:
-                truncated = True
-            return
-        local_banned = set(banned)
-        for i, w in enumerate(cand):
-            if stopped:
-                return
-            rest = cand[i + 1 :]
-            seen = set(rest) | local_banned | {w}
-            grown = fresh_neighbors(w, current, seen)
+    # Frames are (member, candidates, iterator over them, ruled out); the
+    # walk starts from a frame whose only candidate is the root.
+    stack = [(None, [root], enumerate([root]), set())]
+    while stack:
+        _, cand, it, banned = stack[-1]
+        for i, w in it:
             current.add(w)
-            rec(current, rest + grown, local_banned)
+            yield frozenset(current)
+            if len(current) < max_size:
+                rest = cand[i + 1 :]
+                child = rest + fresh(w, {*rest, *banned})
+                stack.append((w, child, enumerate(child), set(banned)))
+                break
             current.remove(w)
-            local_banned.add(w)
-
-    first = fresh_neighbors(root, {root}, set())
-    rec({root}, first, set())
-    return results, truncated
+            banned.add(w)
+        else:
+            w = stack.pop()[0]
+            if stack:
+                current.remove(w)
+                stack[-1][3].add(w)

@@ -830,7 +830,6 @@ class PnDecay:
     stages: tuple[int, ...]
     p_left: tuple[float, ...]
     p_right: tuple[float, ...]
-    ratios: tuple[float, ...]
     fitted_ratio: float
     halving_reference: tuple[float, ...]
 
@@ -852,9 +851,6 @@ def pn_decay(reports: list[matching_mod.StageReport]) -> PnDecay:
         for a, b in zip(seq, seq[1:]):
             if b > a + 1e-12:
                 raise ContractViolationError("unmatched density increased")
-    ratios = [
-        p_l[k + 1] / p_l[k] for k in range(len(p_l) - 1) if p_l[k] > 0
-    ]
     pos = [(n + 1, p) for n, p in enumerate(p_l) if p > 0]
     if len(pos) >= 2:
         xs = np.array([n for n, _ in pos], dtype=float)
@@ -866,7 +862,6 @@ def pn_decay(reports: list[matching_mod.StageReport]) -> PnDecay:
         stages=tuple(r.stage for r in reports),
         p_left=tuple(p_l),
         p_right=tuple(p_r),
-        ratios=tuple(ratios),
         fitted_ratio=fitted,
         halving_reference=tuple(2.0 ** (-r.stage) for r in reports),
     )

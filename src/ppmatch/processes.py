@@ -115,7 +115,6 @@ class PointMultiset:
     counts: np.ndarray
     point_vertex: np.ndarray
     point_slot: np.ndarray
-    offsets: np.ndarray
     origin_vertex: np.ndarray | None = None
     discarded: int = 0
 
@@ -126,9 +125,6 @@ class PointMultiset:
     @property
     def support(self) -> np.ndarray:
         return np.nonzero(self.counts)[0]
-
-    def point_ids_at(self, v: int) -> range:
-        return range(int(self.offsets[v]), int(self.offsets[v + 1]))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -148,7 +144,6 @@ def _from_counts(
         counts=_freeze(counts.astype(np.int64)),
         point_vertex=_freeze(point_vertex),
         point_slot=_freeze(slot),
-        offsets=_freeze(offsets),
         origin_vertex=None if origin_vertex is None else _freeze(origin_vertex),
         discarded=discarded,
     )

@@ -8,12 +8,13 @@ radius r at which the opposite process dominates the own process over
 an enumerated family of 4r-connected vertex sets containing it.
 
 Clause 2 runs in one of two modes.  Exact mode asks the yes/no check
-`constraint_holds` per vertex and radius; it walks every 4r-connected
-subset of the window containing the vertex (the per-vertex test oracle,
-exponential).  Support mode checks only the connected component of the
-vertex in the 4r-proximity graph on the occupied vertices, a documented
-under-approximation that can only lower the resulting radius; its fields
-take one vectorised pass per radius.
+`constraint_holds` per vertex and radius; it draws the 4r-connected
+subsets of the window containing the vertex one at a time, cut at a
+size and a count cap, and stops at the first that decides (the
+per-vertex test oracle, exponential).  Support mode checks only the
+connected component of the vertex in the 4r-proximity graph on the
+occupied vertices, a documented under-approximation that can only lower
+the resulting radius; its fields take one vectorised pass per radius.
 
 Any quantity whose value would depend on data outside the window is
 explicitly censored, never silently defaulted.
@@ -39,8 +40,8 @@ SUPPORT = "support"
 # A vertex is deficient when its half-ball holds at most this fraction
 # of the expected opposite count.
 DEFICIENCY = Fraction(9, 10)
-# Exact mode answers no for a vertex and radius whose enumeration
-# reaches this many candidate sets.
+# Exact mode answers no for a vertex and radius with more than this
+# many candidate sets.
 COUNT_CAP = 200_000
 
 
@@ -105,10 +106,12 @@ def constraint_holds(
     4r-connected vertex set U containing v, |other on U^{+r}| >= r *
     |own on U|, by the rule of `_holds`.
 
-    False at the first set that fails, including a set with own points
-    whose r-enlargement leaves the window.  True only when the family
-    was exhausted: a cut at size_cap members or COUNT_CAP sets leaves
-    unchecked sets, so the answer is False.
+    The sets are drawn lazily, and the answer is False at the first one
+    that decides it: a set that fails (including a set with own points
+    whose r-enlargement leaves the window), a set of more than size_cap
+    members (window.n when None), or set number COUNT_CAP + 1.  A cut
+    leaves sets unchecked, so it answers no.  True only when the whole
+    family was drawn and held.
     """
     if r < 1:
         raise ConfigurationError("constraint radius must be >= 1")
@@ -125,11 +128,13 @@ def constraint_holds(
             got = near_of[u] = [int(w) for w in near if w != u]
         return got
 
-    sets, truncated = connected_subsets_containing(
-        v, prox, max_size=size_cap if size_cap is not None else window.n,
-        cap=COUNT_CAP,
-    )
-    for u_set in sets:
+    limit = size_cap if size_cap is not None else window.n
+    # A set of limit + 1 members exists exactly when the family of sets
+    # up to limit members is cut at that size.
+    sets = connected_subsets_containing(v, prox, max_size=limit + 1)
+    for count, u_set in enumerate(sets, 1):
+        if len(u_set) > limit or count > COUNT_CAP:
+            return False
         members = np.fromiter(u_set, dtype=np.int64)
         other_count = int(other.counts[window.dist_from(members, r) <= r].sum())
         if not _holds(
@@ -137,7 +142,7 @@ def constraint_holds(
             other_count, r,
         ):
             return False
-    return not truncated
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +294,6 @@ def _support_radii(
 class Component:
     vertices: tuple[int, ...]
     size: int
-    diameter: int
     n_censored: int
 
 
@@ -303,19 +307,14 @@ def components_above(
     members = np.nonzero((field.values > r) | field.censored)[0]
     if len(members) == 0:
         return []
-    gap = 4 * r
-    lab = GapComponents(window, members).labels(gap)
+    lab = GapComponents(window, members).labels(4 * r)
     out = []
     for cid in range(int(lab.max()) + 1):
         verts = members[lab == cid]
-        # Members of a gap-connected set lie within (size - 1) * gap.
-        limit = (len(verts) - 1) * gap
-        diam = max(int(window.dist_row(int(u), limit)[verts].max()) for u in verts)
         out.append(
             Component(
                 tuple(int(v) for v in verts),
                 len(verts),
-                diam,
                 int(np.count_nonzero(field.censored[verts])),
             )
         )

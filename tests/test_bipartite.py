@@ -76,7 +76,8 @@ def test_censored_points_are_dropped_and_counted(tree3_d8):
     g = bipartite.build_match_graph(v, v, fl, fr, tree3_d8)
     deep = tree3_d8.depth_from_root > 4
     assert g.censor.left_points_dropped == int(deep.sum())
-    assert set(g.censor.left_vertices) == set(np.nonzero(deep)[0])
+    # One point per vertex: the kept points are those at shallow vertices.
+    assert g.left_vertex.tolist() == np.nonzero(~deep)[0].tolist()
 
 
 def test_graph_from_point_edges_and_neighborhood():

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, islice
 
 from ppmatch.enumeration import connected_subsets_containing
 
@@ -47,41 +47,60 @@ def brute_connected_sets(n, nbrs, root, max_size):
     return found
 
 
+def subsets(root, nbrs, max_size):
+    return list(connected_subsets_containing(root, nbrs, max_size=max_size))
+
+
 def test_path_counts_match_brute_force():
     nbrs = path_neighbors(6)
     for root in range(6):
         for k in (1, 2, 3, 6):
-            got, truncated = connected_subsets_containing(
-                root, nbrs, max_size=k
-            )
+            got = subsets(root, nbrs, k)
             want = brute_connected_sets(6, nbrs, root, k)
             assert sorted(got, key=sorted) == sorted(want, key=sorted)
             # Intervals through `root` of length <= k
             assert len(got) == len(want)
-    full, truncated = connected_subsets_containing(0, nbrs, max_size=6)
-    assert not truncated
+    # The whole path is one of the sets, so nothing lies beyond size 6.
+    assert max(map(len, subsets(0, nbrs, 7))) == 6
 
 
 def test_no_duplicates_on_grid():
     nbrs = grid_neighbors(3, 3)
-    got, truncated = connected_subsets_containing(4, nbrs, max_size=4)
+    got = subsets(4, nbrs, 4)
     assert len(got) == len(set(got))
     want = brute_connected_sets(9, nbrs, 4, 4)
     assert set(got) == set(want)
-    assert truncated  # size-4 sets still extend inside the grid
+    # Size-4 sets still extend inside the grid.
+    assert any(len(u) == 5 for u in subsets(4, nbrs, 5))
 
 
-def test_truncation_flag_vs_exhaustion():
+def test_sets_beyond_max_size_exist_only_before_exhaustion():
     nbrs = path_neighbors(4)
-    got, truncated = connected_subsets_containing(0, nbrs, max_size=4)
-    assert not truncated
+    got = subsets(0, nbrs, 5)
     assert len(got) == 4  # the 4 prefixes
-    got, truncated = connected_subsets_containing(0, nbrs, max_size=3)
-    assert truncated
+    assert max(map(len, got)) == 4
+    assert any(len(u) == 4 for u in subsets(0, nbrs, 4))
 
 
-def test_cap_raises_or_truncates():
-    # Past `cap` subsets the stream is abandoned and reported truncated.
-    nbrs = grid_neighbors(4, 4)
-    got, truncated = connected_subsets_containing(0, nbrs, max_size=16, cap=50)
-    assert truncated and len(got) == 50
+def test_stream_is_lazy_and_depth_first():
+    asked = []
+
+    def nbrs(v):
+        asked.append(v)
+        return path_neighbors(10)(v)
+
+    stream = connected_subsets_containing(0, nbrs, max_size=10)
+    assert next(stream) == {0}
+    assert asked == []
+    assert [sorted(next(stream)) for _ in range(2)] == [[0, 1], [0, 1, 2]]
+    assert asked == [0, 1]
+
+
+def test_no_recursion_limit():
+    stream = connected_subsets_containing(0, path_neighbors(3000), max_size=3000)
+    *_, last = islice(stream, 2500)
+    assert last == frozenset(range(2500))
+
+
+def test_max_size_below_one_yields_nothing():
+    assert subsets(0, path_neighbors(3), 0) == []

@@ -363,7 +363,6 @@ def fake_reports(p_left, p_right=None):
 def test_pn_decay_halving():
     dec = experiments.pn_decay(fake_reports([0.4, 0.2, 0.1]))
     assert dec.stages == (1, 2, 3)
-    assert dec.ratios == (0.5, 0.5)
     assert dec.fitted_ratio == pytest.approx(0.5)
     assert dec.halving_reference == (0.5, 0.25, 0.125)
 

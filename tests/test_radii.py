@@ -99,29 +99,62 @@ def test_constraint_holds_vacuous_and_violated():
         radii.constraint_holds(own, other, w, 2, 0)
 
 
+def path_window(n):
+    adj = [[u for u in (v - 1, v + 1) if 0 <= u < n] for v in range(n)]
+    return build_window(GraphFamily.explicit(adj), 0, 0)
+
+
+def spy_on_sets(monkeypatch):
+    """Record every set `constraint_holds` draws from the enumeration."""
+    drawn = []
+
+    def spy(*args, **kwargs):
+        for u_set in connected_subsets_containing(*args, **kwargs):
+            drawn.append(u_set)
+            yield u_set
+
+    monkeypatch.setattr(radii, "connected_subsets_containing", spy)
+    return drawn
+
+
 def test_exact_mode_enumerates_all_gap_connected_sets(monkeypatch):
     # On the 13-path at r = 1 (gap 4), vertices 0, 4, 8 and 12 form a
     # 4-path of the proximity graph: among them, the sets through 4 that
     # exact mode checks are the six intervals through 4.
-    n = 13
-    adj = [[u for u in (v - 1, v + 1) if 0 <= u < n] for v in range(n)]
-    w = build_window(GraphFamily.explicit(adj), 0, 0)
-    seen = []
-
-    def spy(*args, **kwargs):
-        out = connected_subsets_containing(*args, **kwargs)
-        seen.append(out)
-        return out
-
-    monkeypatch.setattr(radii, "connected_subsets_containing", spy)
+    w = path_window(13)
+    drawn = spy_on_sets(monkeypatch)
     assert radii.constraint_holds(empty_set(w), empty_set(w), w, 4, 1)
-    (sets, truncated), = seen
-    assert not truncated
-    assert len(sets) == len(set(sets))
-    spaced = [sorted(u) for u in sets if u <= {0, 4, 8, 12}]
+    assert len(drawn) == len(set(drawn))
+    spaced = [sorted(u) for u in drawn if u <= {0, 4, 8, 12}]
     assert sorted(spaced) == [
         [0, 4], [0, 4, 8], [0, 4, 8, 12], [4], [4, 8], [4, 8, 12]
     ]
+
+
+def test_exact_mode_stops_at_the_first_failing_set(monkeypatch):
+    # Five own points at 4 and no opposite points: {4} fails, and no
+    # further set is drawn.
+    w = path_window(9)
+    own = processes.multiset_from_counts([0, 0, 0, 0, 5, 0, 0, 0, 0])
+    drawn = spy_on_sets(monkeypatch)
+    assert not radii.constraint_holds(own, empty_set(w), w, 4, 1)
+    assert drawn == [frozenset({4})]
+
+
+def test_exact_mode_count_cap(monkeypatch):
+    # With no own points every set holds, so only the count can cut the
+    # family, and it is cut at set COUNT_CAP + 1.  At gap 4 every pair
+    # of vertices of a short path is near: 4 sets contain vertex 0 of
+    # the 3-path, 8 that of the 4-path.
+    monkeypatch.setattr(radii, "COUNT_CAP", 4)
+    drawn = spy_on_sets(monkeypatch)
+    w = path_window(3)
+    assert radii.constraint_holds(empty_set(w), empty_set(w), w, 0, 1)
+    assert len(drawn) == 4
+    drawn.clear()
+    w = path_window(4)
+    assert not radii.constraint_holds(empty_set(w), empty_set(w), w, 0, 1)
+    assert len(drawn) == 5
 
 
 def test_exact_mode_resolves_clause2_above_r0():
@@ -130,11 +163,9 @@ def test_exact_mode_resolves_clause2_above_r0():
     # every 4r-connected set through it dominated.  At r = 3 the set {4}
     # has 7 * 3 = 21 >= 15 other points in its 3-ball; larger sets add
     # vertices with no own points.
-    n = 9
-    adj = [[u for u in (v - 1, v + 1) if 0 <= u < n] for v in range(n)]
-    w = build_window(GraphFamily.explicit(adj), 0, 0)
+    w = path_window(9)
     own = processes.multiset_from_counts([0, 0, 0, 0, 5, 0, 0, 0, 0])
-    other = processes.multiset_from_counts([3] * n)
+    other = processes.multiset_from_counts([3] * 9)
     fld = radii.compute_radius_field(own, other, w, 2, mode=radii.EXACT)
     assert fld.clause.tolist() == [1, 1, 1, 1, 2, 1, 1, 1, 1]
     assert fld.values[4] == 3
@@ -359,7 +390,6 @@ def test_components_above_separates_distant_pockets():
     comps = radii.components_above(fld, w, 2)
     # gap 8 < 29: the two pockets stay separate components.
     assert [c.vertices for c in comps] == [(0,), (29,)]
-    assert all(c.diameter == 0 for c in comps)
 
 
 def test_dump_radius_field_format(tree3_d8):
