@@ -97,6 +97,10 @@ def _parse_distance_law(text: str) -> dict[int, float]:
 
 def _process_spec(section: dict, name: str) -> processes.ProcessSpec:
     kind = section["kind"].strip()
+    if kind in ("poisson", "degenerate") and section["distance_law"].strip():
+        raise ConfigurationError(
+            f"{name}.distance_law applies only to kind=perturbed, not {kind}"
+        )
     if kind == "poisson":
         return processes.ProcessSpec.poisson()
     if kind == "degenerate":

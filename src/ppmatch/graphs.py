@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ from scipy.sparse.csgraph import (
 )
 
 from .errors import ConfigurationError, ResourceError
+from .seeds import part_key
 
 #: Distance reported for a vertex out of a query's reach; larger than
 #: every radius, so no ball test ``dist <= r`` admits it.
@@ -282,6 +284,13 @@ class GraphWindow:
             f"GraphWindow({self.family.kind}, depth={self.depth}, "
             f"margin={self.core_margin}, n={self.n})"
         )
+
+    @cached_property
+    def label_keys(self) -> tuple[bytes, ...]:
+        """Each label encoded as a hash part (`seeds.part_key`), built on
+        first use.  The bytes do not depend on the seed, so a window
+        reused across trials encodes its labels once."""
+        return tuple(map(part_key, self.labels))
 
     # -- metric queries ----------------------------------------------------
 

@@ -8,7 +8,11 @@ on the corresponding sphere.
 All randomness derives from per-vertex hash streams keyed by the
 canonical vertex label, so counts at a shared vertex do not depend on
 the window size, and resampling with the same seed is bit-for-bit
-reproducible.
+reproducible.  Each stream is drawn for all its vertices in one batched
+call (`seeds.hash_u64_many` over `GraphWindow.label_keys`): Poisson
+counts take one "count" draw, a perturbed set one "disp" draw for every
+vertex and one "land" draw for the displaced ones, and a law with only
+distance 0 draws nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from .graphs import (
     sphere_point,
     sphere_size_infinite,
 )
-from .seeds import derive_seed, hash_u64, uniform_stream, unit_uniform
+from .seeds import (
+    derive_seed, hash_u64_many, uniform_stream, unit_uniform_many,
+)
 
 POISSON = "poisson"
 PERTURBED = "perturbed"
@@ -97,7 +103,9 @@ class ProcessSpec:
 
     @property
     def is_degenerate(self) -> bool:
-        return self.kind == PERTURBED and self.distance_law == ((0, 1.0),)
+        """Whether every point stays at its vertex: the law's only
+        distance is 0, whatever its float weight."""
+        return self.kind == PERTURBED and self.max_displacement == 0
 
 
 @dataclass(frozen=True)
@@ -162,29 +170,46 @@ def multiset_from_counts(
 
 
 def _landing(spec: ProcessSpec, window: GraphWindow):
-    """land_of(i, seed): the window vertex where the point that vertex i
-    emits lands under the rule described in `sample`, or None when the
-    point is discarded.  `sample` and `hole_probability` share it."""
+    """land(seed, origins): for each window vertex in the int64 array
+    `origins`, the window vertex where the point it emits lands under
+    the rule described in `sample`, or -1 when the point is discarded.
+    `sample` and `hole_probability` share it.
+
+    A law with only distance 0 keeps every point at its origin and
+    draws nothing.  Otherwise one batched "disp" draw picks each
+    origin's distance, and only displaced origins draw "land" and walk
+    to their sphere point.
+    """
+    if spec.is_degenerate:
+        return lambda seed, origins: origins
     distances = np.array([d for d, _ in spec.distance_law], dtype=np.int64)
     cum = np.cumsum([w for _, w in spec.distance_law])
     cum[-1] = 1.0
     explicit = window.family.kind == EXPLICIT
+    spheres: dict[tuple[int, int], np.ndarray] = {}
 
-    def land_of(i: int, seed: int) -> int | None:
-        lab = window.labels[i]
-        u = unit_uniform(seed, "disp", lab)
-        d = int(distances[np.searchsorted(cum, u, side="right")])
-        if d == 0:
-            return i
-        if explicit:
-            members, _ = window.sphere(i, d)
-            if len(members) == 0:
-                return None
-            return int(members[hash_u64(seed, "land", lab) % len(members)])
-        j = hash_u64(seed, "land", lab) % sphere_size_infinite(window.family, d)
-        return window.label_to_index.get(sphere_point(window.family, lab, d, j))
+    def land(seed: int, origins: np.ndarray) -> np.ndarray:
+        keys, at = window.label_keys, origins.tolist()
+        origin_keys = [keys[i] for i in at]
+        u = unit_uniform_many(seed, "disp", origin_keys)
+        dist = distances[np.searchsorted(cum, u, side="right")]
+        moved = np.nonzero(dist)[0].tolist()
+        hashes = hash_u64_many(seed, "land", [origin_keys[k] for k in moved])
+        target = origins.copy()
+        for k, d, h in zip(moved, dist[moved].tolist(), hashes.tolist()):
+            i = at[k]
+            if explicit:
+                members = spheres.get((i, d))
+                if members is None:
+                    members = spheres[(i, d)] = window.sphere(i, d)[0]
+                target[k] = members[h % len(members)] if len(members) else -1
+                continue
+            j = h % sphere_size_infinite(window.family, d)
+            lab = sphere_point(window.family, window.labels[i], d, j)
+            target[k] = window.label_to_index.get(lab, -1)
+        return target
 
-    return land_of
+    return land
 
 
 def sample(spec: ProcessSpec, window: GraphWindow, seed: int) -> PointMultiset:
@@ -196,14 +221,12 @@ def sample(spec: ProcessSpec, window: GraphWindow, seed: int) -> PointMultiset:
     infinite-graph sphere at that distance (the exact in-graph sphere
     for explicit families); landings outside the window are discarded
     and counted, which keeps core counts unbiased as long as the core
-    margin is at least the maximum displacement.
+    margin is at least the maximum displacement.  Every per-vertex draw
+    is one batched call over the window's label keys.
     """
     if spec.kind == POISSON:
-        cdf = _poisson_cdf()
-        counts = np.empty(window.n, dtype=np.int64)
-        for i, lab in enumerate(window.labels):
-            u = unit_uniform(seed, "count", lab)
-            counts[i] = int(np.searchsorted(cdf, u, side="right"))
+        u = unit_uniform_many(seed, "count", window.label_keys)
+        counts = np.searchsorted(_poisson_cdf(), u, side="right")
         return _from_counts(counts)
 
     if spec.kind != PERTURBED:
@@ -214,21 +237,13 @@ def sample(spec: ProcessSpec, window: GraphWindow, seed: int) -> PointMultiset:
             f"{window.core_margin}: core counts would be biased"
         )
 
-    land_of = _landing(spec, window)
-    landings: list[int] = []
-    origins: list[int] = []
-    for i in range(window.n):
-        target = land_of(i, seed)
-        if target is not None:
-            landings.append(target)
-            origins.append(i)
-
-    land = np.asarray(landings, dtype=np.int64)
-    orig = np.asarray(origins, dtype=np.int64)
-    order = np.argsort(land, kind="stable")
-    counts = np.bincount(land, minlength=window.n).astype(np.int64)
-    discarded = window.n - len(landings)
-    return _from_counts(counts, origin_vertex=orig[order], discarded=discarded)
+    target = _landing(spec, window)(seed, np.arange(window.n, dtype=np.int64))
+    origins = np.nonzero(target >= 0)[0]
+    landed = target[origins]
+    order = np.argsort(landed, kind="stable")
+    counts = np.bincount(landed, minlength=window.n)
+    discarded = window.n - len(origins)
+    return _from_counts(counts, origin_vertex=origins[order], discarded=discarded)
 
 
 def count_in(pm: PointMultiset, vertex_set) -> int:
@@ -296,15 +311,11 @@ def hole_probability(
         )
     relevant, _ = window.ball(0, r + dmax)
     root_dist = window.dist_row(0, r)
-    land_of = _landing(spec, window)
+    land = _landing(spec, window)
     hits = 0
     for t in range(trials):
-        seed_t = derive_seed(seed, "hole", t)
-        for i in relevant:
-            target = land_of(int(i), seed_t)
-            if target is not None and root_dist[target] <= r:
-                break
-        else:
+        target = land(derive_seed(seed, "hole", t), relevant)
+        if not (root_dist[target[target >= 0]] <= r).any():
             hits += 1
     p = hits / trials
     se = math.sqrt(p * (1.0 - p) / trials)

@@ -42,10 +42,15 @@ def _canonical(part):
     )
 
 
+def part_key(part) -> bytes:
+    """The bytes one context part feeds into a hash: ``repr`` of the
+    canonical part, then the separator 0x1f."""
+    return repr(_canonical(part)).encode("utf-8") + b"\x1f"
+
+
 def _feed(h, parts) -> None:
     for part in parts:
-        h.update(repr(_canonical(part)).encode("utf-8"))
-        h.update(b"\x1f")
+        h.update(part_key(part))
 
 
 def hash_u64(seed: int, *parts) -> int:
@@ -53,6 +58,30 @@ def hash_u64(seed: int, *parts) -> int:
     h = _hasher(seed, 8)
     _feed(h, parts)
     return int.from_bytes(h.digest(), "little")
+
+
+def hash_u64_many(seed: int, tag, keys) -> np.ndarray:
+    """``hash_u64(seed, tag, part)`` for each part, as a uint64 array;
+    `keys` holds the parts already encoded by `part_key`.
+
+    The hasher keyed by the seed and fed the tag is built once and
+    copied per key: blake2b keeps its state after a key and a prefix
+    (RFC 7693), so each copy finishes the same hash a fresh one would.
+    """
+    prefix = _hasher(seed, 8)
+    _feed(prefix, (tag,))
+    copy = prefix.copy
+    buf = bytearray()
+    for key in keys:
+        h = copy()
+        h.update(key)
+        buf += h.digest()
+    return np.frombuffer(buf, dtype="<u8")
+
+
+def unit_uniform_many(seed: int, tag, keys) -> np.ndarray:
+    """``unit_uniform(seed, tag, part)`` for each encoded part in `keys`."""
+    return hash_u64_many(seed, tag, keys) * _INV_U64
 
 
 def derive_seed(seed: int, *parts) -> int:

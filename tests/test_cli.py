@@ -266,6 +266,21 @@ def test_malformed_config_value_exits_2(tmp_path, capsys):
         assert err.startswith("error:") and key in err
 
 
+@pytest.mark.parametrize("side,kind", [
+    ("process_left", "degenerate"), ("process_right", "poisson"),
+])
+def test_distance_law_needs_perturbed_kind(tmp_path, capsys, side, kind):
+    # A law the process would ignore must not silently change the
+    # config hash: it is rejected, naming the key.
+    overrides = [f"{side}.kind={kind}", f"{side}.distance_law=1:1"]
+    with pytest.raises(ConfigurationError, match=f"{side}.distance_law"):
+        load(overrides)
+    args = [a for item in overrides for a in ("--set", item)]
+    assert cli.main(["sample", "--out", str(tmp_path)] + SMALL + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{side}.distance_law" in err
+
+
 def test_demo_ladder_reports_unsplittable_pairs(tmp_path, capsys):
     summ = run_cli(["demo-ladder", "--seed", "3"], tmp_path)
     # Mirrored counts tie every vertical pair in the window.

@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from ppmatch import processes
 from ppmatch.errors import CensoringError, ConfigurationError
-from ppmatch.graphs import GraphFamily, build_window
+from ppmatch.graphs import (
+    EXPLICIT, GraphFamily, build_window, sphere_point, sphere_size_infinite,
+)
+from ppmatch.seeds import hash_u64, unit_uniform
 from conftest import derive
 
 
@@ -72,6 +75,101 @@ def test_perturbed_core_counts_unbiased(tree3_d8):
     for p in range(pm.total):
         o, v = int(pm.origin_vertex[p]), int(pm.point_vertex[p])
         assert tree3_d8.distance(o, v) == 1
+
+
+def reference_sample(spec, window, seed):
+    """The sampling rule one vertex at a time, with scalar hashes: an
+    oracle that shares no batching with `processes.sample`.  Returns
+    (counts, origin of each point in landing order, discarded)."""
+    if spec.kind == "poisson":
+        cdf = processes._poisson_cdf()
+        counts = [
+            int(np.searchsorted(cdf, unit_uniform(seed, "count", lab), side="right"))
+            for lab in window.labels
+        ]
+        return counts, None, 0
+    cum = np.cumsum([w for _, w in spec.distance_law])
+    cum[-1] = 1.0
+    pairs = []  # (landing, origin)
+    for i, lab in enumerate(window.labels):
+        k = int(np.searchsorted(cum, unit_uniform(seed, "disp", lab), side="right"))
+        d = spec.distance_law[k][0]
+        if d == 0:
+            pairs.append((i, i))
+            continue
+        h = hash_u64(seed, "land", lab)
+        if window.family.kind == EXPLICIT:
+            members = window.sphere(i, d)[0]
+            if len(members):
+                pairs.append((int(members[h % len(members)]), i))
+            continue
+        j = h % sphere_size_infinite(window.family, d)
+        target = window.label_to_index.get(sphere_point(window.family, lab, d, j))
+        if target is not None:
+            pairs.append((target, i))
+    pairs.sort()  # by landing, then origin: the stable order of origins
+    counts = np.bincount([t for t, _ in pairs], minlength=window.n).tolist()
+    return counts, [o for _, o in pairs], window.n - len(pairs)
+
+
+_CYCLE12 = [[(i - 1) % 12, (i + 1) % 12] for i in range(12)]
+# An isolated vertex, two edges and a path of three: every point of the
+# edges displaced by 2, and any displaced point of vertex 4, has an empty
+# sphere and is discarded.
+_SPLIT = [[1], [0], [3], [2], [], [6], [5, 7], [6]]
+
+
+@pytest.mark.parametrize("spec", [
+    processes.ProcessSpec.poisson(),
+    processes.ProcessSpec.degenerate(),
+    processes.ProcessSpec.perturbed({0: 0.5, 1: 0.3, 2: 0.2}),
+], ids=["poisson", "degenerate", "mixed"])
+def test_sample_matches_per_vertex_reference(spec, tree3_d8, ladder_d10):
+    windows = [
+        tree3_d8, ladder_d10,
+        build_window(GraphFamily.explicit(_CYCLE12), 0, 2),
+        build_window(GraphFamily.explicit(_SPLIT), 0, 2),
+    ]
+    discarded = 0
+    for w in windows:
+        for s in range(4):
+            seed = derive("ref", s)
+            pm = processes.sample(spec, w, seed)
+            counts, origins, dropped = reference_sample(spec, w, seed)
+            assert pm.counts.tolist() == counts
+            expect = np.repeat(np.arange(w.n), counts)
+            np.testing.assert_array_equal(pm.point_vertex, expect)
+            slots = [k for c in counts for k in range(1, c + 1)]
+            assert pm.point_slot.tolist() == slots
+            if origins is None:
+                assert pm.origin_vertex is None
+            else:
+                assert pm.origin_vertex.tolist() == origins
+            assert pm.discarded == dropped
+            if w.family.kind == EXPLICIT:
+                discarded += dropped
+    if spec.max_displacement > 0:
+        assert discarded > 0  # the empty-sphere branch was exercised
+
+
+def test_zero_displacement_law_draws_nothing(tree3_d8, monkeypatch):
+    # Every law whose only distance is 0 is the identity, whatever its
+    # float weight; its sample and hole estimate hash nothing.
+    def no_draw(*args):
+        raise AssertionError("a zero-displacement law drew a hash")
+
+    monkeypatch.setattr(processes, "hash_u64_many", no_draw)
+    monkeypatch.setattr(processes, "unit_uniform_many", no_draw)
+    for spec in (
+        processes.ProcessSpec.degenerate(),
+        processes.ProcessSpec.perturbed({0: 0.9999999999}),
+    ):
+        assert spec.is_degenerate
+        pm = processes.sample(spec, tree3_d8, derive("zero"))
+        assert pm.counts.tolist() == [1] * tree3_d8.n
+        np.testing.assert_array_equal(pm.origin_vertex, np.arange(tree3_d8.n))
+        est = processes.hole_probability(spec, tree3_d8, 1, 20, derive("zh"))
+        assert est.value == 0.0 and est.analytic == 0.0
 
 
 def test_displacement_respects_core_margin():

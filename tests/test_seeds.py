@@ -68,3 +68,31 @@ def test_stream_prefix_consistency(seed, n):
     long = seeds.uniform_stream(seed, 64, "p")
     short = seeds.uniform_stream(seed, n, "p")
     np.testing.assert_array_equal(long[:n], short)
+
+
+_labels = st.one_of(
+    st.lists(st.integers(0, 4), max_size=12).map(tuple),  # tree paths
+    st.integers(-10**6, 10**6),  # explicit ids
+    st.tuples(st.integers(-50, 50), st.integers(0, 1)),  # ladder pairs
+    st.integers(0, 2**31 - 1).map(np.int64),
+    st.tuples(st.integers(0, 3).map(np.int32), st.integers(0, 3)),
+)
+
+
+@given(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(["count", "disp", "land"]),
+    st.lists(_labels, max_size=20),
+)
+def test_batched_hashes_match_scalar(seed, tag, labels):
+    keys = [seeds.part_key(lab) for lab in labels]
+    got = seeds.hash_u64_many(seed, tag, keys)
+    assert got.dtype == np.uint64 and got.shape == (len(labels),)
+    assert got.tolist() == [seeds.hash_u64(seed, tag, lab) for lab in labels]
+    uni = seeds.unit_uniform_many(seed, tag, keys)
+    assert uni.tolist() == [seeds.unit_uniform(seed, tag, lab) for lab in labels]
+
+
+def test_batched_hashes_of_no_keys_are_empty():
+    got = seeds.hash_u64_many(3, "count", [])
+    assert got.dtype == np.uint64 and got.shape == (0,)
