@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractViolationError
-from .graphs import GraphWindow
+from .graphs import ROW_BLOCK, GraphWindow
 from .processes import PointMultiset
 from .radii import RadiusField
 
@@ -139,13 +139,16 @@ def build_match_graph(
     start_l = np.concatenate(([0], np.cumsum(left.counts[occ_l])))
     start_r = np.concatenate(([0], np.cumsum(right.counts[occ_r])))
 
+    r_left = field_left.values[occ_l]
     r_right = field_right.values[occ_r]
-    reach_max = int(r_right.max()) if len(occ_r) else 0
+    # No edge is longer than the largest radius on either side.
+    limit = int(max(r_left.max(initial=0), r_right.max(initial=0)))
     edges: list[tuple[int, int, int]] = []
-    for a, v in enumerate(occ_l):
-        rv = int(field_left.values[v])
-        row = window.dist_row(int(v), max(rv, reach_max))[occ_r]
-        reach_l = row <= rv
+    for a in range(len(occ_l)):
+        if a % ROW_BLOCK == 0:
+            rows = window.dist_row(occ_l[a : a + ROW_BLOCK], limit)[:, occ_r]
+        row = rows[a % ROW_BLOCK]
+        reach_l = row <= r_left[a]
         reach_r = row <= r_right
         hit = np.nonzero(reach_l | reach_r)[0]
         if len(hit) == 0:

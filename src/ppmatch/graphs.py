@@ -36,6 +36,8 @@ from .seeds import part_key
 #: Distance reported for a vertex out of a query's reach; larger than
 #: every radius, so no ball test ``dist <= r`` admits it.
 UNREACHABLE = np.iinfo(np.int32).max
+#: Sources per batched `GraphWindow.dist_row` call of the library.
+ROW_BLOCK = 256
 
 REGULAR_TREE = "regular_tree"
 LADDER_DIAGONAL = "ladder_diagonal"
@@ -310,9 +312,22 @@ class GraphWindow:
         )
         return np.where(np.isinf(dist), UNREACHABLE, dist).astype(np.int32)
 
-    def dist_row(self, v: int, limit: float | None = None) -> np.ndarray:
-        """Distances from v, UNREACHABLE beyond `limit` (see dist_from)."""
-        return self.dist_from([v], limit)
+    def dist_row(self, v, limit: float | None = None) -> np.ndarray:
+        """Distances from v, UNREACHABLE beyond `limit` (see dist_from).
+
+        For an index array v, one row per entry: a (len(v), n) array
+        from one truncated BFS per source, all in one call.  Callers
+        with many sources ask for ROW_BLOCK rows at a time, so that the
+        rows they hold stay small on large windows.
+        """
+        if np.ndim(v) == 0:
+            return self.dist_from([v], limit)
+        dist = dijkstra(
+            self._adj, indices=np.asarray(v, dtype=np.int32),
+            limit=np.inf if limit is None else limit,
+        )
+        dist[np.isinf(dist)] = UNREACHABLE
+        return dist.astype(np.int32)
 
     def distance(self, u: int, v: int) -> int:
         return int(self.dist_row(u)[v])

@@ -29,7 +29,7 @@ import numpy as np
 
 from .enumeration import connected_subsets_containing
 from .errors import ConfigurationError
-from .graphs import GapComponents, GraphWindow
+from .graphs import ROW_BLOCK, GapComponents, GraphWindow
 from .processes import PointMultiset, count_in
 
 CENSORED = -1
@@ -242,46 +242,65 @@ def _support_radii(
     """The least r in r0+1..cap at which the support-mode constraint
     holds, per pending vertex (0 where none does).
 
-    At radius r the set of a support vertex is its gap-4r component.
+    At radius r the set U of a support vertex is its gap-4r component.
     Such components are more than 4r apart, so their r-enlargements are
     disjoint, and a vertex within r of the support lies only in that of
     its nearest member's component.  An off-support vertex v joins the
     components within 4r of it; no other enlargement meets B_r(v).
+
+    U only grows with r and ball_ok(r) only shrinks, so two failures
+    are final: own points in U with an r-enlargement that leaves the
+    window (the window edge), and r * own(U) above the window's whole
+    opposite count (outnumbered).  A vertex is done at its first hold
+    or exit, and no radius is evaluated once every vertex is done.
     """
+    found = np.zeros(len(pending), dtype=np.int32)
+    if len(pending) == 0:
+        return found
+    open_ = np.ones(len(pending), dtype=bool)
     supp = own.support
     comps = GapComponents(window, supp)
-    found = np.zeros(len(pending), dtype=np.int32)
-    on = np.nonzero(np.isin(pending, supp))[0]
-    member = np.searchsorted(supp, pending[on])
-    tables = []
+    on = own.counts[pending] > 0
+    member = np.searchsorted(supp, pending)
     for r in range(r0 + 1, cap + 1):
+        if not open_.any():
+            break
         lab = comps.labels(4 * r)
         ok = window.ball_ok(r)
         within = comps.near <= r
         # Per component: complete, own count, other count on C^{+r}.
-        table = (
-            np.bincount(lab, ~ok[supp]) == 0,
-            np.bincount(lab, own.counts[supp]),
-            np.bincount(lab[comps.cell[within]], other.counts[within]),
-        )
-        tables.append((r, lab, ok, table))
-        holds = _holds(*table, r)[lab[member]]
-        found[on[holds & (found[on] == 0)]] = r
+        complete = np.bincount(lab, ~ok[supp]) == 0
+        own_c = np.bincount(lab, own.counts[supp])
+        other_c = np.bincount(lab[comps.cell[within]], other.counts[within])
 
-    for k in np.setdiff1d(np.arange(len(pending)), on):
-        v = int(pending[k])
-        row = window.dist_row(v, 4 * cap)
-        for r, lab, ok, (complete, own_c, other_c) in tables:
-            ids = np.unique(lab[row[supp] <= 4 * r])
-            bare = (row <= r) & (comps.near > r)
-            if _holds(
-                ok[v] & complete[ids].all(),
-                own_c[ids].sum(),
-                other_c[ids].sum() + other.counts[bare].sum(),
-                r,
-            ):
-                found[k] = r
-                break
+        k = np.nonzero(open_ & on)[0]
+        ids = lab[member[k]]
+        settle = [(k, complete[ids], own_c[ids], other_c[ids])]
+
+        # Off-support vertices take ROW_BLOCK truncated rows at a time,
+        # read on the support grouped by component.
+        bare = np.where(within, 0, other.counts)
+        by_comp = np.argsort(lab, kind="stable")
+        starts = np.searchsorted(lab[by_comp], np.arange(len(own_c)))
+        off = np.nonzero(open_ & ~on)[0]
+        for s in range(0, len(off), ROW_BLOCK):
+            k = off[s : s + ROW_BLOCK]
+            rows = window.dist_row(pending[k], 4 * r)
+            # meets[i, c]: component c lies within 4r of pending[k[i]].
+            meets = np.logical_or.reduceat(
+                rows[:, supp[by_comp]] <= 4 * r, starts, axis=1
+            )
+            settle.append((
+                k,
+                ok[pending[k]] & ~(meets & ~complete).any(axis=1),
+                meets @ own_c,
+                meets @ other_c + (rows <= r) @ bare,
+            ))
+
+        for k, complete_u, own_u, other_u in settle:
+            holds = _holds(complete_u, own_u, other_u, r)
+            found[k[holds]] = r
+            open_[k] = ~holds & complete_u & (r * own_u <= other.total)
     return found
 
 

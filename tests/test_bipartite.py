@@ -103,3 +103,48 @@ def test_dump_graph_lines(tree3_d8):
     lines = bipartite.dump_graph(g)
     assert len(lines) == g.n_edges
     assert lines[0] == "L 0 1 | R 0 1"
+
+
+def test_edges_on_a_cycle_longer_than_a_row_block():
+    # More kept left vertices than one block of distance rows: every
+    # edge and tag still follows the rule, against cycle distances.
+    from ppmatch.graphs import ROW_BLOCK, GraphFamily, build_window
+
+    n = ROW_BLOCK + 64
+    w = build_window(
+        GraphFamily.explicit([[(i - 1) % n, (i + 1) % n] for i in range(n)]), 0, 0
+    )
+    rng = np.random.default_rng(3)
+    left = processes.multiset_from_counts(rng.integers(1, 3, n))
+    right = processes.multiset_from_counts(rng.integers(0, 2, n))
+
+    def field(values, censored):
+        return radii.RadiusField(
+            np.where(censored, radii.CENSORED, values).astype(np.int32),
+            censored, np.where(censored, 0, 1).astype(np.int8), radii.SUPPORT,
+        )
+
+    fl = field(rng.integers(2, 5, n), rng.random(n) < 0.1)
+    fr = field(rng.integers(2, 5, n), rng.random(n) < 0.1)
+    g = bipartite.build_match_graph(left, right, fl, fr, w)
+    assert len(set(g.left_vertex.tolist())) > ROW_BLOCK
+    want = {}
+    for i, u in enumerate(g.left_vertex.tolist()):
+        for j, v in enumerate(g.right_vertex.tolist()):
+            d = min(abs(u - v), n - abs(u - v))
+            by_l, by_r = d <= fl.values[u], d <= fr.values[v]
+            if by_l or by_r:
+                want[i, j] = (
+                    bipartite.TAG_BOTH if by_l and by_r
+                    else bipartite.TAG_FROM_LEFT if by_l
+                    else bipartite.TAG_FROM_RIGHT
+                )
+    got = {
+        (i, int(j)): int(t)
+        for i in range(g.n_left)
+        for j, t in zip(
+            g.right_neighbors(i),
+            g.tags_left[g.indptr_left[i] : g.indptr_left[i + 1]],
+        )
+    }
+    assert got == want

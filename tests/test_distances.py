@@ -11,7 +11,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ppmatch import experiments, processes
-from ppmatch.graphs import UNREACHABLE, GapComponents, GraphFamily, build_window
+from ppmatch.graphs import (
+    ROW_BLOCK, UNREACHABLE, GapComponents, GraphFamily, build_window,
+)
 from conftest import bfs_oracle, graphs
 
 
@@ -52,6 +54,28 @@ def test_truncated_rows(adj, limit):
         assert w.dist_row(v, limit).tolist() == want
     full = [[UNREACHABLE if d is None else d for d in row] for row in dist]
     assert w.distance_matrix().tolist() == full
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(), st.data(), st.sampled_from([None, 0, 1, 2, 3]))
+def test_batched_rows(adj, data, limit):
+    # An index array gets one row per entry, equal to its single-vertex
+    # row: none, one source, and more sources than a block of rows.
+    w = window_of(adj)
+    dist = bfs_oracle(adj)
+    assert w.dist_row(np.empty(0, dtype=np.int64), limit).shape == (0, w.n)
+    v = data.draw(st.integers(0, w.n - 1))
+    assert w.dist_row(np.array([v]), limit).tolist() == [w.dist_row(v, limit).tolist()]
+    step, start = data.draw(st.integers(1, 5)), data.draw(st.integers(0, w.n - 1))
+    sources = (start + step * np.arange(ROW_BLOCK + 3)) % w.n
+    rows = w.dist_row(sources, limit)
+    assert rows.shape == (len(sources), w.n)
+    for s, row in zip(sources.tolist(), rows.tolist()):
+        assert row == w.dist_row(s, limit).tolist()
+        assert row == [
+            d if d is not None and (limit is None or d <= limit) else UNREACHABLE
+            for d in dist[s]
+        ]
 
 
 @settings(max_examples=150, deadline=None)

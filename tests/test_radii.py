@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from ppmatch import processes, radii
 from ppmatch.enumeration import connected_subsets_containing
 from ppmatch.errors import ConfigurationError
-from ppmatch.graphs import GraphFamily, build_window
+from ppmatch.graphs import GapComponents, GraphFamily, build_window
 from conftest import attach_tree_adjacency, bfs_oracle, derive, graphs
 
 
@@ -279,21 +279,27 @@ def field_lists(fld):
     return got
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     st.one_of(graphs(), stringy_graphs()),
     st.data(),
     st.sampled_from([2, 4]),
-    st.integers(1, 4),
+    st.integers(1, 6),
 )
 def test_support_field_matches_oracle(adj, data, r0, extra):
     # Sparse own counts and dense other counts make clause 2 fire; sparse
     # other counts make deficient vertices that hold clause 1 back and
-    # verdicts that turn on a few points.
+    # verdicts that turn on a few points.  Dense own counts against
+    # sparse other counts make sets outnumbered at some radius, where
+    # the field's search stops while the oracle walks on to the cap.
     n = len(adj)
-    own = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), min_size=n, max_size=n))
-    top = data.draw(st.sampled_from([1, 2, 6]))
-    other = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        own = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), min_size=n, max_size=n))
+        top = data.draw(st.sampled_from([1, 2, 6]))
+        other = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    else:
+        own = data.draw(st.lists(st.sampled_from([0, 1, 2, 3, 5, 8]), min_size=n, max_size=n))
+        other = data.draw(st.lists(st.sampled_from([0, 0, 1, 2, 9]), min_size=n, max_size=n))
     w = build_window(GraphFamily.explicit(adj), 0, 0)
     fld = radii.compute_radius_field(
         processes.multiset_from_counts(own), processes.multiset_from_counts(other),
@@ -324,24 +330,108 @@ def test_support_field_matches_oracle_at_boundaries(n, own, other):
     assert field_lists(fld) == oracle_support_field(adj, own, other, 2, 3)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_support_field_matches_oracle_on_tree_window(tree3_d5, data):
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 6))
+def test_support_field_matches_oracle_on_tree_window(tree3_d5, data, extra):
     # Own points near the root keep some components' enlargements inside
-    # the window; one far point makes its component's incomplete.
+    # the window; one far point makes its component's incomplete.  Piles
+    # at depth <= 3 meet the window edge, are outnumbered, or hold after
+    # failing at smaller radii.
     w = tree3_d5
     own = [0] * w.n
-    for v in data.draw(st.sets(st.integers(0, 9), max_size=3)):
-        own[v] = data.draw(st.integers(1, 3))
-    for v in data.draw(st.sets(st.integers(10, w.n - 1), max_size=1)):
+    for v in data.draw(st.sets(st.integers(0, 21), max_size=4)):
+        own[v] = data.draw(st.sampled_from([1, 2, 3, 6, 10, 20]))
+    for v in data.draw(st.sets(st.integers(22, w.n - 1), max_size=1)):
         own[v] = 1
-    other = data.draw(st.lists(st.integers(0, 6), min_size=w.n, max_size=w.n))
+    top = data.draw(st.sampled_from([3, 6]))
+    other = data.draw(st.lists(st.integers(0, top), min_size=w.n, max_size=w.n))
     fld = radii.compute_radius_field(
         processes.multiset_from_counts(own), processes.multiset_from_counts(other),
-        w, 2, radius_cap=4,
+        w, 2, radius_cap=2 + extra,
     )
     adj = [ns.tolist() for ns in w.neighbors]
-    assert field_lists(fld) == oracle_support_field(adj, own, other, 2, 4, w.depth)
+    assert field_lists(fld) == oracle_support_field(adj, own, other, 2, 2 + extra, w.depth)
+
+
+def spy_on_tables(monkeypatch):
+    """Record the gap of every component table a support field builds."""
+    gaps = []
+    labels = GapComponents.labels
+
+    def spy(self, gap):
+        gaps.append(gap)
+        return labels(self, gap)
+
+    monkeypatch.setattr(GapComponents, "labels", spy)
+    return gaps
+
+
+def tree_case(w):
+    # Own points at a depth-3 vertex, whose 3-ball leaves the depth-5
+    # window: exit (i) at r = 3.
+    v = int(np.nonzero(w.depth_from_root == 3)[0][0])
+    own = [0] * w.n
+    own[v] = 3
+    return w, own, [6] * w.n, {v: (radii.CENSORED, 0)}
+
+
+def path_case(n, own, other):
+    adj = [[u for u in (v - 1, v + 1) if 0 <= u < n] for v in range(n)]
+    w = build_window(GraphFamily.explicit(adj), 0, 0)
+    return w, [own.get(v, 0) for v in range(n)], [other.get(v, 0) for v in range(n)]
+
+
+@pytest.mark.parametrize("case, gaps", [
+    ("window_edge", [12]),
+    # Five own points at 4 against one other point: 3 * 5 > 1 (exit
+    # ii), for 4 and for every off-support vertex, all within 12 of 4.
+    ("outnumbered", [12]),
+    # No other points: every vertex is deficient.  Vertices 0..12 see
+    # the point at 0 and are outnumbered; from 13 on, no own point lies
+    # within 12, so own(U) = 0 and the vertex holds at r = 3.
+    ("own_free", [12]),
+    # Ten own points at the root with one other point per vertex: the
+    # 3-ball holds 22 < 30 points, the 4-ball 46 >= 40.
+    ("after_a_failing_radius", [12, 16]),
+])
+def test_support_exits(case, gaps, tree3_d5, monkeypatch):
+    if case == "window_edge":
+        w, own, other, want = tree_case(tree3_d5)
+    elif case == "outnumbered":
+        w, own, other = path_case(9, {4: 5}, {0: 1})
+        want = {v: (radii.CENSORED, 0) for v in range(9)}
+    elif case == "own_free":
+        w, own, other = path_case(30, {0: 1}, {})
+        want = {v: (radii.CENSORED, 0) if v <= 12 else (3, 2) for v in range(30)}
+    else:
+        w, own, other = tree3_d5, [10] + [0] * (tree3_d5.n - 1), [1] * tree3_d5.n
+        want = {0: (4, 2)}
+    drawn = spy_on_tables(monkeypatch)
+    fld = radii.compute_radius_field(
+        processes.multiset_from_counts(own), processes.multiset_from_counts(other),
+        w, 2, radius_cap=6,
+    )
+    assert drawn == gaps
+    got = field_lists(fld)
+    assert {v: got[v] for v in want} == want
+    adj = [ns.tolist() for ns in w.neighbors]
+    depth = w.depth if w is tree3_d5 else None
+    assert got == oracle_support_field(adj, own, other, 2, 6, depth)
+
+
+def test_support_field_builds_tables_only_for_open_vertices(tree3_d5, monkeypatch):
+    # Every pending vertex exits at r0 + 1: one table, however large the
+    # cap.  A field with no pending vertex builds none.
+    w, own, other, _ = tree_case(tree3_d5)
+    drawn = spy_on_tables(monkeypatch)
+    radii.compute_radius_field(
+        processes.multiset_from_counts(own), processes.multiset_from_counts(other),
+        w, 2, radius_cap=40,
+    )
+    assert drawn == [12]
+    drawn.clear()
+    radii.compute_radius_field(v_set(w), v_set(w), w, 2, radius_cap=40)
+    assert drawn == []
 
 
 def test_radius_cap_censors_unresolved(tree3_d8):
