@@ -43,7 +43,10 @@ class MatchGraph:
     """CSR adjacency between left point ids 0..nL-1 and right ids 0..nR-1.
 
     Globally a right point j is addressed as nL + j where a single id
-    space is needed (chains, ranks).
+    space is needed (chains, ranks).  The edges come as three aligned
+    arrays (left id, right id, tag) and, for graphs built on a window,
+    a fourth with each edge's vertex distance; ``distances_left`` keeps
+    it aligned with ``indices_left`` (None for synthetic graphs).
     """
 
     def __init__(
@@ -52,8 +55,10 @@ class MatchGraph:
         left_slot: np.ndarray,
         right_vertex: np.ndarray,
         right_slot: np.ndarray,
-        edges: Sequence[tuple[int, int, int]],
-        window: GraphWindow | None = None,
+        edge_left: np.ndarray,
+        edge_right: np.ndarray,
+        edge_tag: np.ndarray,
+        edge_distance: np.ndarray | None = None,
         censor: CensorReport | None = None,
     ):
         self.left_vertex = np.asarray(left_vertex, dtype=np.int64)
@@ -62,34 +67,33 @@ class MatchGraph:
         self.right_slot = np.asarray(right_slot, dtype=np.int64)
         self.n_left = len(self.left_vertex)
         self.n_right = len(self.right_vertex)
-        self.window = window
         self.censor = censor or CensorReport(0, 0)
 
-        if edges:
-            arr = np.asarray(edges, dtype=np.int64)
-            order = np.lexsort((arr[:, 1], arr[:, 0]))
-            arr = arr[order]
-        else:
-            arr = np.empty((0, 3), dtype=np.int64)
-        self.n_edges = len(arr)
+        ei = np.asarray(edge_left, dtype=np.int64)
+        ej = np.asarray(edge_right, dtype=np.int64)
+        order = np.lexsort((ej, ei))
+        self.n_edges = len(order)
         self.indptr_left = np.zeros(self.n_left + 1, dtype=np.int64)
-        np.add.at(self.indptr_left, arr[:, 0] + 1, 1)
-        np.cumsum(self.indptr_left, out=self.indptr_left)
-        self.indices_left = arr[:, 1].copy()
-        self.tags_left = arr[:, 2].astype(np.int8)
+        np.cumsum(np.bincount(ei, minlength=self.n_left), out=self.indptr_left[1:])
+        self.indices_left = ej[order]
+        self.tags_left = np.asarray(edge_tag, dtype=np.int8)[order]
+        self.distances_left = (
+            None if edge_distance is None
+            else np.asarray(edge_distance, dtype=np.int64)[order]
+        )
 
-        order_r = np.lexsort((arr[:, 0], arr[:, 1]))
-        arr_r = arr[order_r]
+        order_r = np.lexsort((ei, ej))
         self.indptr_right = np.zeros(self.n_right + 1, dtype=np.int64)
-        np.add.at(self.indptr_right, arr_r[:, 1] + 1, 1)
-        np.cumsum(self.indptr_right, out=self.indptr_right)
-        self.indices_right = arr_r[:, 0].copy()
+        np.cumsum(np.bincount(ej, minlength=self.n_right), out=self.indptr_right[1:])
+        self.indices_right = ei[order_r]
         for a in (
             self.left_vertex, self.left_slot, self.right_vertex,
             self.right_slot, self.indptr_left, self.indices_left,
-            self.tags_left, self.indptr_right, self.indices_right,
+            self.tags_left, self.distances_left, self.indptr_right,
+            self.indices_right,
         ):
-            a.setflags(write=False)
+            if a is not None:
+                a.setflags(write=False)
 
     def __repr__(self) -> str:
         return (
@@ -118,8 +122,9 @@ def build_match_graph(
     """Materialize the undirected proximity graph from the radius fields.
 
     An edge {x, x'} exists iff dist(x, x') <= max(R_x, R'_x'); the tag
-    records which of the two reach clauses produced it.  Points at
-    censored vertices are excluded from both sides.
+    records which of the two reach clauses produced it, and the edge
+    keeps that distance.  Points at censored vertices are excluded from
+    both sides.
     """
     keep_l = ~field_left.censored
     keep_r = ~field_right.censored
@@ -135,54 +140,60 @@ def build_match_graph(
     left_vertex, left_slot = left.point_vertex[kept_l], left.point_slot[kept_l]
     right_vertex, right_slot = right.point_vertex[kept_r], right.point_slot[kept_r]
 
-    # Point id of the first point at each occupied vertex.
-    start_l = np.concatenate(([0], np.cumsum(left.counts[occ_l])))
-    start_r = np.concatenate(([0], np.cumsum(right.counts[occ_r])))
+    # Point count at each occupied vertex, and the id of its first point.
+    count_l, count_r = left.counts[occ_l], right.counts[occ_r]
+    start_l = np.cumsum(count_l) - count_l
+    start_r = np.cumsum(count_r) - count_r
 
     r_left = field_left.values[occ_l]
     r_right = field_right.values[occ_r]
     # No edge is longer than the largest radius on either side.
     limit = int(max(r_left.max(initial=0), r_right.max(initial=0)))
-    edges: list[tuple[int, int, int]] = []
-    for a in range(len(occ_l)):
-        if a % ROW_BLOCK == 0:
-            rows = window.dist_row(occ_l[a : a + ROW_BLOCK], limit)[:, occ_r]
-        row = rows[a % ROW_BLOCK]
-        reach_l = row <= r_left[a]
-        reach_r = row <= r_right
-        hit = np.nonzero(reach_l | reach_r)[0]
-        if len(hit) == 0:
-            continue
-        tags = np.where(
-            reach_l[hit] & reach_r[hit],
-            TAG_BOTH,
-            np.where(reach_l[hit], TAG_FROM_LEFT, TAG_FROM_RIGHT),
-        )
-        for b, tag in zip(hit, tags):
-            for i in range(start_l[a], start_l[a + 1]):
-                for j in range(start_r[b], start_r[b + 1]):
-                    edges.append((int(i), int(j), int(tag)))
+    # Per block: (index into occ_l, index into occ_r, tag, distance).
+    empty = np.empty(0, dtype=np.int64)
+    blocks = [(empty, empty, empty, empty)]
+    for s in range(0, len(occ_l), ROW_BLOCK):
+        rows = window.dist_row(occ_l[s : s + ROW_BLOCK], limit)[:, occ_r]
+        reach_l = rows <= r_left[s : s + ROW_BLOCK, None]
+        reach_r = rows <= r_right
+        a, b = np.nonzero(reach_l | reach_r)
+        tag = TAG_FROM_LEFT * reach_l[a, b] + TAG_FROM_RIGHT * reach_r[a, b]
+        blocks.append((a + s, b, tag, rows[a, b]))
+    a, b, tag, dist = (np.concatenate(col) for col in zip(*blocks))
 
+    # Each vertex pair (a, b) stands for every pair of their points.
+    pair, i = _expand(start_l[a], count_l[a])
+    pair_j, j = _expand(start_r[b[pair]], count_r[b[pair]])
+    pair = pair[pair_j]
     return MatchGraph(
-        left_vertex, left_slot, right_vertex, right_slot, edges,
-        window=window, censor=censor,
+        left_vertex, left_slot, right_vertex, right_slot,
+        i[pair_j], j, tag[pair], dist[pair], censor=censor,
     )
+
+
+def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry k repeated count[k] times, with the point ids start[k],
+    start[k] + 1, ... that the repeats stand for."""
+    owner = np.repeat(np.arange(len(count)), count)
+    first = np.cumsum(count) - count
+    return owner, start[owner] + np.arange(len(owner)) - first[owner]
 
 
 def graph_from_point_edges(
     left_vertex: Sequence[int],
     right_vertex: Sequence[int],
     edges: Iterable[tuple[int, int]],
-    window: GraphWindow | None = None,
 ) -> MatchGraph:
     """Synthetic constructor for tests and oracles: explicit point lists
-    and undirected (left id, right id) pairs, all tagged both-ways."""
+    and undirected (left id, right id) pairs, all tagged both-ways and
+    carrying no distances."""
     lv = np.asarray(left_vertex, dtype=np.int64)
     rv = np.asarray(right_vertex, dtype=np.int64)
     ls = _slots_from_vertices(lv)
     rs = _slots_from_vertices(rv)
-    tagged = [(int(i), int(j), TAG_BOTH) for i, j in edges]
-    return MatchGraph(lv, ls, rv, rs, tagged, window=window)
+    pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    tags = np.full(len(pairs), TAG_BOTH, dtype=np.int8)
+    return MatchGraph(lv, ls, rv, rs, pairs[:, 0], pairs[:, 1], tags)
 
 
 def _slots_from_vertices(vertex: np.ndarray) -> np.ndarray:

@@ -237,6 +237,8 @@ def load_config(
     chain_cap = _parse_int(mm["chain_cap"], "matcher.chain_cap")
     if sweep_cap <= 0 or chain_cap <= 0:
         raise ConfigurationError("matcher caps must be positive")
+    if max_stage is not None and max_stage < 1:
+        raise ConfigurationError("matcher.max_stage must be >= 1")
 
     d_max = max(spec_left.max_displacement, spec_right.max_displacement)
     eff_r_max = order_r_max if order_r_max is not None else max(0, core_margin - r0)

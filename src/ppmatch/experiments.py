@@ -116,13 +116,9 @@ def run_matching_pipeline(
     )
     left_distance = np.full(g.n_left, -1, dtype=np.int64)
     right_distance = np.full(g.n_right, -1, dtype=np.int64)
-    for i, j in m.pairs():
-        u, v = int(g.left_vertex[i]), int(g.right_vertex[j])
-        # A matched pair is joined by an edge: within max(R_u, R'_v).
-        reach = max(int(field_left.values[u]), int(field_right.values[v]))
-        d = int(window.dist_row(u, reach)[v])
-        left_distance[i] = d
-        right_distance[j] = d
+    i, e = m.matched_edges()
+    left_distance[i] = g.distances_left[e]
+    right_distance[g.indices_left[e]] = g.distances_left[e]
     return PipelineResult(
         window=window, left=left, right=right,
         field_left=field_left, field_right=field_right,

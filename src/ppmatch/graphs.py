@@ -478,7 +478,6 @@ def build_window(
             )
         d = family.degree
         labels: list[tuple[int, ...]] = [()]
-        parents: list[int] = [-1]
         adj: list[list[int]] = [[]]
         frontier = [0]
         for _ in range(depth):
@@ -489,7 +488,6 @@ def build_window(
                 for c in range(n_children):
                     w = len(labels)
                     labels.append(lab + (c,))
-                    parents.append(v)
                     adj.append([])
                     adj[v].append(w)
                     adj[w].append(v)

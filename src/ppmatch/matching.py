@@ -42,6 +42,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .bipartite import MatchGraph
 from .errors import (
+    ConfigurationError,
     ContractViolationError,
     ResourceError,
     StageDivergenceError,
@@ -93,6 +94,14 @@ class Matching:
             (i, int(j)) for i, j in enumerate(self.matchL) if j >= 0
         ]
 
+    def matched_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(left point, position in the graph's left CSR arrays) of each
+        matched pair that is an edge, in left-point order."""
+        g = self.g
+        owner = np.repeat(np.arange(g.n_left), np.diff(g.indptr_left))
+        e = np.flatnonzero(g.indices_left == self.matchL[owner])
+        return owner[e], e
+
     def assert_valid(self) -> None:
         """Raise ContractViolationError on the first matched left point
         whose pair is asymmetric or not an edge, or when the two match
@@ -100,9 +109,8 @@ class Matching:
         g = self.g
         i = np.flatnonzero(self.matchL >= 0)
         j = self.matchL[i]
-        owner = np.repeat(np.arange(g.n_left), np.diff(g.indptr_left))
         on_edge = np.zeros(g.n_left, dtype=bool)
-        on_edge[owner[g.indices_left == self.matchL[owner]]] = True
+        on_edge[self.matched_edges()[0]] = True
         asym = self.matchR[j] != i
         bad = np.flatnonzero(asym | ~on_edge[i])
         if len(bad):
@@ -593,7 +601,7 @@ def run(
     if max_stage is None:
         max_stage = max(1, math.ceil(g.n_points / 4) + 1)
     if max_stage < 1:
-        raise ContractViolationError("max_stage must be >= 1")
+        raise ConfigurationError("max_stage must be >= 1")
     m = Matching(g)
     reports: list[StageReport] = []
     snapshots: list[np.ndarray] = []
@@ -625,17 +633,18 @@ def stage_reports_csv(reports: list[StageReport]) -> list[str]:
 
 
 def dump_matching(m: Matching, g: MatchGraph) -> list[str]:
-    """Lines "Lvertex Lindex Rvertex Rindex distance" per matched pair."""
-    if g.window is None:
-        raise ContractViolationError("matching dump needs a graph window")
-    lines = []
-    for i, j in m.pairs():
-        d = g.window.distance(int(g.left_vertex[i]), int(g.right_vertex[j]))
-        lines.append(
-            f"{int(g.left_vertex[i])} {int(g.left_slot[i])} "
-            f"{int(g.right_vertex[j])} {int(g.right_slot[j])} {d}"
-        )
-    return lines
+    """Lines "Lvertex Lindex Rvertex Rindex distance" per matched pair,
+    the distance read off the pair's edge."""
+    if g.distances_left is None:
+        raise ContractViolationError("matching dump needs edge distances")
+    i, e = m.matched_edges()
+    j = g.indices_left[e]
+    cols = zip(
+        g.left_vertex[i].tolist(), g.left_slot[i].tolist(),
+        g.right_vertex[j].tolist(), g.right_slot[j].tolist(),
+        g.distances_left[e].tolist(),
+    )
+    return [f"{lv} {ls} {rv} {rs} {d}" for lv, ls, rv, rs, d in cols]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 from scipy.special import pdtr
@@ -324,7 +324,7 @@ def hole_probability(
 
 
 # ---------------------------------------------------------------------------
-# Dump / load
+# Dump
 # ---------------------------------------------------------------------------
 
 ORIGIN_HEADER = "[origins]"
@@ -338,34 +338,3 @@ def dump_multiset(pm: PointMultiset) -> list[str]:
         for p in range(pm.total):
             lines.append(f"{int(pm.origin_vertex[p])} {int(pm.point_vertex[p])}")
     return lines
-
-
-def load_multiset(lines: Iterable[str]) -> PointMultiset:
-    counts: list[int] = []
-    origins: list[tuple[int, int]] = []
-    in_origins = False
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == ORIGIN_HEADER:
-            in_origins = True
-            continue
-        a, b = line.split()
-        if in_origins:
-            origins.append((int(a), int(b)))
-        else:
-            v, c = int(a), int(b)
-            if v != len(counts):
-                raise ConfigurationError(f"count lines out of order at vertex {v}")
-            counts.append(c)
-    arr = np.asarray(counts, dtype=np.int64)
-    if not origins:
-        return _from_counts(arr)
-    pairs = np.asarray(origins, dtype=np.int64)
-    if np.any(np.diff(pairs[:, 1]) < 0):
-        raise ConfigurationError("origin pairs must be grouped by landing vertex")
-    counted = np.bincount(pairs[:, 1], minlength=len(arr))
-    if not np.array_equal(counted, arr):
-        raise ConfigurationError("origin pairs disagree with count lines")
-    return _from_counts(arr, origin_vertex=pairs[:, 0])

@@ -107,7 +107,8 @@ def test_dump_graph_lines(tree3_d8):
 
 def test_edges_on_a_cycle_longer_than_a_row_block():
     # More kept left vertices than one block of distance rows: every
-    # edge and tag still follows the rule, against cycle distances.
+    # edge, tag and distance still follows the rule, against cycle
+    # distances.
     from ppmatch.graphs import ROW_BLOCK, GraphFamily, build_window
 
     n = ROW_BLOCK + 64
@@ -137,14 +138,16 @@ def test_edges_on_a_cycle_longer_than_a_row_block():
                 want[i, j] = (
                     bipartite.TAG_BOTH if by_l and by_r
                     else bipartite.TAG_FROM_LEFT if by_l
-                    else bipartite.TAG_FROM_RIGHT
+                    else bipartite.TAG_FROM_RIGHT,
+                    d,
                 )
     got = {
-        (i, int(j)): int(t)
+        (i, int(j)): (int(t), int(d))
         for i in range(g.n_left)
-        for j, t in zip(
+        for j, t, d in zip(
             g.right_neighbors(i),
             g.tags_left[g.indptr_left[i] : g.indptr_left[i + 1]],
+            g.distances_left[g.indptr_left[i] : g.indptr_left[i + 1]],
         )
     }
     assert got == want

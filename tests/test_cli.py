@@ -114,6 +114,7 @@ def test_config_hash_skips_deployment_keys(tmp_path):
     ["run.tail_radii=-1,0,1"],
     ["graph.family=explicit", f"graph.adjacency_file={EXPLICIT12}",
      "run.tail_radii=0,1,-2"],
+    ["matcher.max_stage=0"],
 ])
 def test_rejected_configs(overrides):
     with pytest.raises(ConfigurationError):
@@ -135,14 +136,17 @@ def test_sample_artifacts_roundtrip(tmp_path):
     summ = run_cli(["sample", "--seed", "5"] + SMALL, tmp_path)
     assert summ["n_vertices"] == 94
     assert summ["left_points"] == 94  # one point per vertex
-    lines = (tmp_path / "left_points.txt").read_text().splitlines()
-    assert lines[0] == f"# config_hash={summ['config_hash']} seed=5"
-    pm = processes.load_multiset(lines)
-    assert pm.total == summ["left_points"]
-    right = processes.load_multiset(
-        (tmp_path / "right_points.txt").read_text().splitlines()
-    )
-    assert right.total == summ["right_points"]
+    for side in ("left", "right"):
+        lines = (tmp_path / f"{side}_points.txt").read_text().splitlines()
+        assert lines[0] == f"# config_hash={summ['config_hash']} seed=5"
+        counts = [tuple(map(int, line.split())) for line in lines[1:95]]
+        assert [v for v, _ in counts] == list(range(94))
+        assert sum(c for _, c in counts) == summ[f"{side}_points"]
+        if len(lines) > 95:
+            # Origin pairs, one per point, grouped by landing vertex.
+            assert lines[95] == processes.ORIGIN_HEADER
+            landing = [int(line.split()[1]) for line in lines[96:]]
+            assert landing == [v for v, c in counts for _ in range(c)]
 
 
 def test_radii_command(tmp_path):
@@ -228,6 +232,16 @@ def test_verify_pn_needs_three_stages(tmp_path, capsys):
     )
     assert rc == 2
     assert "max_stage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sample", "match"])
+def test_max_stage_below_one_exits_2(command, tmp_path, capsys):
+    rc = cli.main(
+        [command, "--set", "matcher.max_stage=0", "--out", str(tmp_path)]
+        + SMALL
+    )
+    assert rc == 2
+    assert "matcher.max_stage" in capsys.readouterr().err
 
 
 def test_trend_report_rejects_short_stage_cap(tmp_path):

@@ -46,7 +46,9 @@ def test_resolved_order_r_max(tree3_d8):
     assert cfg.resolved_order_r_max(tree3_d8) == 1
 
 
-def test_pipeline_degenerate_end_state(deg_pipeline_d8, tree3_d8):
+def test_pipeline_degenerate_end_state(
+    deg_pipeline_d8, tree3_d8, poisson_pipeline_d5, tree3_d5
+):
     res = deg_pipeline_d8
     # Identical one-point-per-vertex processes pair up in place.
     assert res.matching.size == res.graph.n_left == res.graph.n_right
@@ -64,6 +66,19 @@ def test_pipeline_degenerate_end_state(deg_pipeline_d8, tree3_d8):
             int(res.graph.left_vertex[i]), int(res.graph.right_vertex[j])
         )
         assert res.left_distance[i] == d
+    # Poisson against Poisson: matched pairs sit apart, and both sides
+    # carry each pair's distance.
+    res = poisson_pipeline_d5
+    pairs = res.matching.pairs()
+    assert len(pairs) > 0
+    assert (res.left_distance > 0).any()
+    for i, j in pairs:
+        d = tree3_d5.distance(
+            int(res.graph.left_vertex[i]), int(res.graph.right_vertex[j])
+        )
+        assert res.left_distance[i] == res.right_distance[j] == d
+    assert (res.left_distance >= 0).sum() == len(pairs)
+    assert (res.right_distance >= 0).sum() == len(pairs)
 
 
 def test_pipeline_builds_order_from_left(tree3_d5):

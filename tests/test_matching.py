@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ppmatch import bipartite, matching
 from ppmatch.errors import (
+    ConfigurationError,
     ContractViolationError,
     ResourceError,
     StageDivergenceError,
@@ -283,6 +284,8 @@ def test_run_early_out_synthesizes_reports():
     assert [r.sweeps for r in reports][1:] == [0, 0, 0]
     assert [r.wall_s for r in reports][1:] == [0.0, 0.0, 0.0]
     assert all(r.p_left == 0.0 for r in reports)
+    with pytest.raises(ConfigurationError, match="max_stage"):
+        matching.run(g, index_ranks(g), max_stage=0)
 
 
 def test_stage_reports_csv_shape():
@@ -294,7 +297,7 @@ def test_stage_reports_csv_shape():
     assert lines[1].startswith("1,")
 
 
-def test_dump_matching_needs_window():
+def test_dump_matching_needs_edge_distances():
     g = two_pair_trace()
     m, _, _ = matching.run(g, index_ranks(g), max_stage=1)
     with pytest.raises(ContractViolationError):

@@ -245,23 +245,27 @@ def test_hole_probability_on_explicit_window_ignores_depth():
     assert abs(values.pop() - 0.25) < 0.03
 
 
-def test_dump_load_roundtrip(tree3_d8):
+def test_dump_multiset_lines(tree3_d8):
     for spec in (
         processes.ProcessSpec.poisson(),
         processes.ProcessSpec.perturbed({0: 0.5, 1: 0.5}),
     ):
         pm = processes.sample(spec, tree3_d8, derive("dump"))
-        back = processes.load_multiset(processes.dump_multiset(pm))
-        np.testing.assert_array_equal(back.counts, pm.counts)
+        lines = processes.dump_multiset(pm)
+        counts = [tuple(map(int, line.split())) for line in lines[: tree3_d8.n]]
+        assert counts == list(enumerate(pm.counts.tolist()))
+        assert sum(c for _, c in counts) == pm.total
         if pm.origin_vertex is None:
-            assert back.origin_vertex is None
-        else:
-            np.testing.assert_array_equal(back.origin_vertex, pm.origin_vertex)
-
-
-def test_load_multiset_rejects_inconsistency():
-    with pytest.raises(ConfigurationError):
-        processes.load_multiset(["0 1", "1 1", "[origins]", "0 0", "0 0"])
+            assert len(lines) == tree3_d8.n
+            continue
+        assert lines[tree3_d8.n] == processes.ORIGIN_HEADER
+        pairs = np.array([line.split() for line in lines[tree3_d8.n + 1 :]], int)
+        # One (origin, landing) pair per point, grouped by landing vertex.
+        assert (np.diff(pairs[:, 1]) >= 0).all()
+        np.testing.assert_array_equal(
+            np.bincount(pairs[:, 1], minlength=tree3_d8.n), pm.counts
+        )
+        np.testing.assert_array_equal(pairs[:, 0], pm.origin_vertex)
 
 
 @settings(max_examples=20, deadline=None)
