@@ -16,6 +16,7 @@ the censored boundary shell necessarily does.
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,54 +24,50 @@ import numpy as np
 from ppmatch import experiments, processes, radii
 from ppmatch.errors import PpmatchError
 from ppmatch.graphs import GraphFamily, build_window
-from ppmatch.seeds import derive_seed
 
 TAIL_RADII = [0, 1, 2, 3, 4]
+
+
+def reduce_trial(res, r0):
+    """A trial's tail row, stage reports, and components of {R_v > r0}."""
+    return (
+        experiments.tail_row(res, TAIL_RADII),
+        res.reports,
+        radii.components_above(res.field_left, res.window, r0),
+    )
 
 
 def run_depth(depth, trials, seed, out, max_stage):
     window = build_window(GraphFamily.regular_tree(3), depth, 4)
     cfg = experiments.PipelineConfig(r0=2, max_stage=max_stage)
-    spec_left = processes.ProcessSpec.degenerate()
-    spec_right = processes.ProcessSpec.poisson()
+    runs = experiments.run_trials(
+        window, processes.ProcessSpec.degenerate(),
+        processes.ProcessSpec.poisson(), cfg, trials, seed,
+        "depth", depth, "trial",
+        reduce=partial(reduce_trial, r0=cfg.r0),
+    )
+    reports = [reps for _, reps, _ in runs]
+    decays = [experiments.pn_decay(reps) for reps in reports]
+    comps = [c for _, _, trial_comps in runs for c in trial_comps]
+    comp_max = max((c.size for c in comps), default=0)
+    comp_live_max = max((c.size - c.n_censored for c in comps), default=0)
 
-    rows = []
-    decays = []
-    comp_max = 0
-    comp_live_max = 0
-    n_comps = 0
-    for t in range(trials):
-        res = experiments.run_matching_pipeline(
-            window, spec_left, spec_right,
-            derive_seed(seed, "depth", depth, "trial", t), cfg,
-        )
-        vals, base = experiments.tail_row(res, TAIL_RADII)
-        if base:
-            rows.append(vals)
-        decays.append(experiments.pn_decay(res.reports))
-        comps = radii.components_above(res.field_left, window, cfg.r0)
-        n_comps += len(comps)
-        for c in comps:
-            comp_max = max(comp_max, c.size)
-            comp_live_max = max(comp_live_max, c.size - c.n_censored)
-
-    curve = experiments.curve_from_rows(rows, window, TAIL_RADII)
+    curve = experiments.curve_from_rows(
+        [row for row, _, _ in runs], window, TAIL_RADII
+    )
     (out / f"tail_depth{depth}.csv").write_text(
         "\n".join(experiments.tail_csv(curve)) + "\n"
     )
 
-    n_stages = max(len(d.p_left) for d in decays)
     lines = ["stage,mean_p_left,mean_p_right,halving_reference"]
-    for k in range(n_stages):
-        pl = [d.p_left[k] for d in decays if len(d.p_left) > k]
-        pr = [d.p_right[k] for d in decays if len(d.p_right) > k]
-        lines.append(f"{k + 1},{np.mean(pl):.10g},{np.mean(pr):.10g},{2.0 ** -(k + 1):.10g}")
+    for k, (pl, pr, _) in enumerate(experiments.stage_means(reports)):
+        lines.append(f"{k + 1},{pl:.10g},{pr:.10g},{2.0 ** -(k + 1):.10g}")
     (out / f"stages_depth{depth}.csv").write_text("\n".join(lines) + "\n")
 
     (out / f"components_depth{depth}.csv").write_text(
         "\n".join([
             "depth,n_vertices,n_components,max_size,max_size_minus_censored",
-            f"{depth},{window.n},{n_comps},{comp_max},{comp_live_max}",
+            f"{depth},{window.n},{len(comps)},{comp_max},{comp_live_max}",
         ]) + "\n"
     )
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
-import multiprocessing
 import sys
 import time
 from dataclasses import dataclass
@@ -240,8 +240,13 @@ def load_config(
     if max_stage is not None and max_stage < 1:
         raise ConfigurationError("matcher.max_stage must be >= 1")
 
+    pipeline = experiments.PipelineConfig(
+        r0=r0, mode=mode, radius_cap=radius_cap, size_cap=size_cap,
+        order_r_max=order_r_max, max_stage=max_stage,
+        sweep_cap=sweep_cap, chain_cap=chain_cap,
+    )
     d_max = max(spec_left.max_displacement, spec_right.max_displacement)
-    eff_r_max = order_r_max if order_r_max is not None else max(0, core_margin - r0)
+    eff_r_max = pipeline.resolved_order_r_max(core_margin)
     if family.kind != "explicit" and core_margin < max(r0, d_max, eff_r_max):
         raise ConfigurationError(
             f"graph.core_margin must be >= max(r0={r0}, D_max={d_max}, "
@@ -267,11 +272,6 @@ def load_config(
         x.strip() for x in run["experiments"].split(",") if x.strip()
     ]
 
-    pipeline = experiments.PipelineConfig(
-        r0=r0, mode=mode, radius_cap=radius_cap, size_cap=size_cap,
-        order_r_max=order_r_max, max_stage=max_stage,
-        sweep_cap=sweep_cap, chain_cap=chain_cap,
-    )
     return RunConfig(
         family=family, depth=depth, core_margin=core_margin,
         spec_left=spec_left, spec_right=spec_right, pipeline=pipeline,
@@ -321,49 +321,6 @@ def _write_manifest(cfg: RunConfig, command: str, t0: float) -> None:
     (cfg.out / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _radii_csv(field: radii.RadiusField) -> list[str]:
-    lines = ["vertex,R,mode,flags"]
-    for line in radii.dump_radius_field(field):
-        v, r, mode, flags = line.split(" ", 3)
-        lines.append(f"{v},{r},{mode},{flags}")
-    return lines
-
-
-# ---------------------------------------------------------------------------
-# Worker pool
-# ---------------------------------------------------------------------------
-
-_POOL_CFG: dict = {}
-
-
-def _pool_init(cfg: RunConfig) -> None:
-    _POOL_CFG["cfg"] = cfg
-    _POOL_CFG["window"] = cfg.window()
-
-
-def _tail_trial(t: int):
-    cfg: RunConfig = _POOL_CFG["cfg"]
-    w: GraphWindow = _POOL_CFG["window"]
-    res = experiments.run_matching_pipeline(
-        w, cfg.spec_left, cfg.spec_right,
-        derive_seed(cfg.seed, "trial", t), cfg.pipeline,
-    )
-    vals, base = experiments.tail_row(res, cfg.tail_radii)
-    p_left = [r.p_left for r in res.reports]
-    p_right = [r.p_right for r in res.reports]
-    return t, vals, base, p_left, p_right
-
-
-def _map_trials(cfg: RunConfig, fn, n: int) -> list:
-    if cfg.workers == 1:
-        _pool_init(cfg)
-        return [fn(t) for t in range(n)]
-    with multiprocessing.Pool(
-        cfg.workers, initializer=_pool_init, initargs=(cfg,)
-    ) as pool:
-        return pool.map(fn, range(n))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -388,8 +345,8 @@ def _cmd_radii(cfg: RunConfig) -> dict:
     left, right, fl, fr = experiments.sample_radius_fields(
         cfg.window(), cfg.spec_left, cfg.spec_right, cfg.seed, cfg.pipeline
     )
-    _write(cfg, "radii_left.csv", _radii_csv(fl))
-    _write(cfg, "radii_right.csv", _radii_csv(fr))
+    _write(cfg, "radii_left.csv", radii.dump_radius_field(fl))
+    _write(cfg, "radii_right.csv", radii.dump_radius_field(fr))
     return {
         "left_censored": fl.n_censored,
         "right_censored": fr.n_censored,
@@ -407,9 +364,11 @@ def _cmd_match(cfg: RunConfig) -> dict:
     _write(cfg, "stages.csv", matching.stage_reports_csv(res.reports))
     _write(cfg, "graph.txt", bipartite.dump_graph(res.graph))
     _write(cfg, "order.txt", order.dump_order(res.order))
-    _write(cfg, "radii_left.csv", _radii_csv(res.field_left))
-    _write(cfg, "radii_right.csv", _radii_csv(res.field_right))
-    curve = experiments.matching_distance_tail([res], cfg.tail_radii)
+    _write(cfg, "radii_left.csv", radii.dump_radius_field(res.field_left))
+    _write(cfg, "radii_right.csv", radii.dump_radius_field(res.field_right))
+    curve = experiments.curve_from_rows(
+        [experiments.tail_row(res, cfg.tail_radii)], w, cfg.tail_radii
+    )
     _write(cfg, "tail.csv", experiments.tail_csv(curve))
     return {
         "n_left": res.graph.n_left,
@@ -423,21 +382,23 @@ def _cmd_match(cfg: RunConfig) -> dict:
 
 def _cmd_tail(cfg: RunConfig) -> dict:
     w = cfg.window()
-    rows = _map_trials(cfg, _tail_trial, cfg.trials)
-    rows.sort(key=lambda item: item[0])
-    kept = [vals for _, vals, base, _, _ in rows if base]
-    curve = experiments.curve_from_rows(kept, w, cfg.tail_radii)
+    runs = experiments.run_trials(
+        w, cfg.spec_left, cfg.spec_right, cfg.pipeline,
+        cfg.trials, cfg.seed, "trial",
+        reduce=functools.partial(
+            experiments.tail_trial, radii_list=cfg.tail_radii
+        ),
+        workers=cfg.workers,
+    )
+    curve = experiments.curve_from_rows(
+        [row for row, _ in runs], w, cfg.tail_radii
+    )
     _write(cfg, "tail.csv", experiments.tail_csv(curve))
-    # Trials can stop at different stages; average each stage over the
-    # trials that reached it and record that count.
-    n_stages = max(len(r[3]) for r in rows)
     stage_lines = ["stage,mean_p_n_left,mean_p_n_right,n_trials"]
-    for k in range(n_stages):
-        pl = [r[3][k] for r in rows if len(r[3]) > k]
-        pr = [r[4][k] for r in rows if len(r[4]) > k]
-        stage_lines.append(
-            f"{k + 1},{np.mean(pl):.10g},{np.mean(pr):.10g},{len(pl)}"
-        )
+    for k, (pl, pr, n) in enumerate(
+        experiments.stage_means([reports for _, reports in runs])
+    ):
+        stage_lines.append(f"{k + 1},{pl:.10g},{pr:.10g},{n}")
     _write(cfg, "stages.csv", stage_lines)
     return {
         "trials": cfg.trials,

@@ -1,6 +1,7 @@
 """Statistical harness over the matching pipeline.
 
-Bundles the end-to-end pipeline runner with the verification suites:
+Bundles the end-to-end pipeline runner, and `run_trials`, the one loop
+that runs it over trial seeds, with the verification suites:
 matching-distance tails against ball sizes, per-realization tail/hole
 dominance, the neighborhood-density inequalities, exact independence of
 unmatched point sets, the count-discrepancy frequency, the greedy sparse
@@ -17,6 +18,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +27,8 @@ from . import bipartite, matching as matching_mod, order as order_mod
 from . import processes, radii
 from .errors import CensoringError, ConfigurationError, ContractViolationError
 from .graphs import (
-    GapComponents, GraphWindow, ball_size_infinite, spectral_radius,
+    GapComponents, GraphWindow, ball_size_infinite, build_window,
+    spectral_radius,
 )
 from .seeds import derive_seed, hash_u64, uniform_stream
 
@@ -47,10 +51,12 @@ class PipelineConfig:
     sweep_cap: int = 10_000
     chain_cap: int = 1_000_000
 
-    def resolved_order_r_max(self, window: GraphWindow) -> int:
+    def resolved_order_r_max(self, core_margin: int) -> int:
+        """order_r_max, by default the largest radius whose signature
+        balls around core vertices stay inside the window."""
         if self.order_r_max is not None:
             return self.order_r_max
-        return max(0, window.core_margin - self.r0)
+        return max(0, core_margin - self.r0)
 
 
 @dataclass
@@ -67,7 +73,6 @@ class PipelineResult:
     reports: list[matching_mod.StageReport]
     snapshots: list[np.ndarray]
     left_distance: np.ndarray
-    right_distance: np.ndarray
 
     @property
     def live_vertices(self) -> np.ndarray:
@@ -108,24 +113,76 @@ def run_matching_pipeline(
         window, spec_left, spec_right, seed, cfg
     )
     g = bipartite.build_match_graph(left, right, field_left, field_right, window)
-    of = order_mod.build_order(left, window, cfg.resolved_order_r_max(window))
+    of = order_mod.build_order(
+        left, window, cfg.resolved_order_r_max(window.core_margin)
+    )
     ranks = matching_mod.point_order(g, of.vertex_rank)
     m, reports, snapshots = matching_mod.run(
         g, ranks, cfg.max_stage,
         sweep_cap=cfg.sweep_cap, chain_cap=cfg.chain_cap,
     )
     left_distance = np.full(g.n_left, -1, dtype=np.int64)
-    right_distance = np.full(g.n_right, -1, dtype=np.int64)
     i, e = m.matched_edges()
     left_distance[i] = g.distances_left[e]
-    right_distance[g.indices_left[e]] = g.distances_left[e]
     return PipelineResult(
         window=window, left=left, right=right,
         field_left=field_left, field_right=field_right,
         graph=g, order=of, ranks=ranks, matching=m,
         reports=reports, snapshots=snapshots,
-        left_distance=left_distance, right_distance=right_distance,
+        left_distance=left_distance,
     )
+
+
+# Worker processes rebuild the window (cheaper than pickling it) and
+# keep it here with the trial arguments.
+_WORKER: dict = {}
+
+
+def _worker_init(family, depth, core_margin, args) -> None:
+    _WORKER["window"] = build_window(family, depth, core_margin)
+    _WORKER["args"] = args
+
+
+def _run_trial(window, spec_left, spec_right, cfg, seed, parts, reduce, t):
+    res = run_matching_pipeline(
+        window, spec_left, spec_right, derive_seed(seed, *parts, t), cfg
+    )
+    return reduce(res)
+
+
+def _worker_trial(t: int):
+    return _run_trial(_WORKER["window"], *_WORKER["args"], t)
+
+
+def run_trials(
+    window: GraphWindow,
+    spec_left: processes.ProcessSpec,
+    spec_right: processes.ProcessSpec,
+    cfg: PipelineConfig,
+    trials: int,
+    seed: int,
+    *parts,
+    reduce: Callable[[PipelineResult], object],
+    workers: int = 1,
+) -> list:
+    """reduce(run) for trials t = 0 .. trials-1, in trial order, where
+    trial t runs the pipeline on derive_seed(seed, *parts, t).
+
+    Each trial is reduced in the process that ran it, so with workers > 1
+    only the reductions travel back; reduce must then pickle (a
+    module-level function or a functools.partial of one).  The results do
+    not depend on the number of workers.
+    """
+    args = (spec_left, spec_right, cfg, seed, parts, reduce)
+    if workers == 1:
+        return [_run_trial(window, *args, t) for t in range(trials)]
+    import multiprocessing  # here, so that one-process runs never load it
+
+    with multiprocessing.Pool(
+        workers, initializer=_worker_init,
+        initargs=(window.family, window.depth, window.core_margin, args),
+    ) as pool:
+        return pool.map(_worker_trial, range(trials))
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +221,17 @@ def tail_row(
     res: PipelineResult,
     radii_list: list[int],
     *,
-    side: str = "left",
     unmatched_as_infinite: bool = False,
 ) -> tuple[np.ndarray, int]:
-    """Per-trial spatial tail averages and the base vertex count."""
-    w = res.window
-    if side == "left":
-        fld, dist, vert = res.field_left, res.left_distance, res.graph.left_vertex
-    else:
-        fld, dist, vert = res.field_right, res.right_distance, res.graph.right_vertex
-    core_ok = _core_mask(w) & ~fld.censored
+    """Per-trial spatial tail averages and the base vertex count.
+
+    The average of #{left points at v matched at distance >= r} over the
+    censor-free core vertices v.  With unmatched_as_infinite, points that
+    stayed unmatched count at every radius; the default counts matched
+    points only.
+    """
+    dist, vert = res.left_distance, res.graph.left_vertex
+    core_ok = _core_mask(res.window) & ~res.field_left.censored
     n_base = int(core_ok.sum())
     if n_base == 0:
         return np.zeros(len(radii_list)), 0
@@ -188,10 +246,20 @@ def tail_row(
     return out, n_base
 
 
+def tail_trial(res: PipelineResult, radii_list: list[int]):
+    """One tail trial reduced to tail_row's (vals, base) and the stage
+    reports: what curve_from_rows and stage_means read."""
+    return tail_row(res, radii_list), res.reports
+
+
 def curve_from_rows(
-    rows: list[np.ndarray], window: GraphWindow, radii_list: list[int]
+    rows: list[tuple[np.ndarray, int]],
+    window: GraphWindow,
+    radii_list: list[int],
 ) -> TailCurve:
-    """Assemble a TailCurve from per-trial spatial averages."""
+    """Assemble a TailCurve from the (vals, base) pairs of tail_row,
+    leaving out the trials without a base vertex."""
+    rows = [vals for vals, base in rows if base]
     if not rows:
         raise CensoringError("every core vertex was censored in every trial")
     mat = np.vstack(rows)
@@ -221,32 +289,6 @@ def curve_from_rows(
         slope=slope,
         n_trials=len(rows),
     )
-
-
-def matching_distance_tail(
-    results: list[PipelineResult],
-    radii_list: list[int],
-    *,
-    side: str = "left",
-    unmatched_as_infinite: bool = False,
-) -> TailCurve:
-    """Spatial and trial average of #{points at v matched at distance
-    >= r} over censor-free core vertices.
-
-    With unmatched_as_infinite, points that stayed unmatched count at
-    every radius; the default counts matched points only.
-    """
-    if not results:
-        raise ValueError("no pipeline results")
-    rows = []
-    for res in results:
-        vals, base = tail_row(
-            res, radii_list, side=side,
-            unmatched_as_infinite=unmatched_as_infinite,
-        )
-        if base:
-            rows.append(vals)
-    return curve_from_rows(rows, results[0].window, radii_list)
 
 
 def tail_csv(curve: TailCurve) -> list[str]:
@@ -325,6 +367,20 @@ def hole_indicator_average(
     return holes / len(ids)
 
 
+def _dominance_trial(res: PipelineResult, radii_list: list[int]):
+    """(tails, holes) at each radius of radii_list over the censor-free
+    core vertices of the left field, or None when there are none."""
+    tails, n_base = tail_row(res, radii_list, unmatched_as_infinite=True)
+    if not n_base:
+        return None
+    base = _core_mask(res.window) & ~res.field_left.censored
+    holes = [
+        hole_indicator_average(res.right, res.window, r, base)
+        for r in radii_list
+    ]
+    return tails, holes
+
+
 def tail_hole_dominance(
     window: GraphWindow,
     spec_right: processes.ProcessSpec,
@@ -342,34 +398,27 @@ def tail_hole_dominance(
     radius.  The inequality holds realization by realization; violations
     would indicate an engine bug.
     """
-    spec_left = processes.ProcessSpec.degenerate()
-    lhs = []
-    rhs = []
-    worst = math.inf
-    skipped = 0
-    for t in range(trials):
-        res = run_matching_pipeline(
-            window, spec_left, spec_right, derive_seed(seed, "trial", t), cfg
-        )
-        base = _core_mask(window) & ~res.field_left.censored
-        if not base.any():
-            # Both sides average over the same base, so the comparison
-            # is vacuous on a fully censored trial; skip it but say so.
-            skipped += 1
-            continue
-        tails, _ = tail_row(res, radii_list, unmatched_as_infinite=True)
-        for k, r in enumerate(radii_list):
-            h = hole_indicator_average(res.right, window, r, base)
-            lhs.append(tails[k])
-            rhs.append(h)
-            worst = min(worst, tails[k] - h)
-    if skipped == trials:
+    runs = run_trials(
+        window, processes.ProcessSpec.degenerate(), spec_right, cfg,
+        trials, seed, "trial",
+        reduce=partial(_dominance_trial, radii_list=radii_list),
+    )
+    # Both sides average over the same base, so the comparison is
+    # vacuous on a fully censored trial; skip it but say so.
+    kept = [run for run in runs if run is not None]
+    if not kept:
         raise CensoringError("degenerate side fully censored in every trial")
+    lhs = [x for tails, _ in kept for x in tails]
+    rhs = [h for _, holes in kept for h in holes]
     return _make_report(
         "tail_hole_dominance", lhs, rhs,
         extras={
-            "worst_margin": worst, "trials": trials,
-            "skipped_trials": skipped, "radii": len(radii_list),
+            "worst_margin": min(
+                (a - b for a, b in zip(lhs, rhs)), default=math.inf
+            ),
+            "trials": trials,
+            "skipped_trials": trials - len(kept),
+            "radii": len(radii_list),
         },
     )
 
@@ -430,6 +479,17 @@ def verify_chebyshev(
     )
 
 
+def _hall_trial(res: PipelineResult) -> tuple[float, float]:
+    """(p(N(A)), min(2 p(A), 4/5)) in one realization."""
+    base = int(res.live_vertices.sum())
+    if base == 0:
+        raise CensoringError("no censor-free vertices")
+    n_left = res.graph.n_left
+    p_a = n_left / base
+    p_n = len(bipartite.neighborhood(res.graph, range(n_left))) / base
+    return p_n, min(2.0 * p_a, 0.8)
+
+
 def verify_boosted_hall(
     window: GraphWindow,
     spec_left: processes.ProcessSpec,
@@ -446,20 +506,12 @@ def verify_boosted_hall(
     infinite graph, and finite windows can legitimately miss it, so
     violations are counted and reported, never asserted.
     """
-    lhs = []
-    rhs = []
-    for t in range(trials):
-        res = run_matching_pipeline(
-            window, spec_left, spec_right, derive_seed(seed, "hall", t), cfg
-        )
-        base = int(res.live_vertices.sum())
-        if base == 0:
-            raise CensoringError("no censor-free vertices")
-        n_left = res.graph.n_left
-        p_a = n_left / base
-        p_n = len(bipartite.neighborhood(res.graph, range(n_left))) / base
-        lhs.append(p_n)
-        rhs.append(min(2.0 * p_a, 0.8))
+    runs = run_trials(
+        window, spec_left, spec_right, cfg, trials, seed, "hall",
+        reduce=_hall_trial,
+    )
+    lhs = [p_n for p_n, _ in runs]
+    rhs = [bound for _, bound in runs]
     return _make_report("boosted_hall", lhs, rhs, extras={"trials": trials})
 
 
@@ -828,6 +880,23 @@ class PnDecay:
     p_right: tuple[float, ...]
     fitted_ratio: float
     halving_reference: tuple[float, ...]
+
+
+def stage_means(
+    trial_reports: list[list[matching_mod.StageReport]],
+) -> list[tuple[float, float, int]]:
+    """Per stage: the mean p_left and mean p_right over the trials that
+    reached it, and the number of those trials.  Trials can stop at
+    different stages."""
+    out = []
+    for k in range(max(len(reports) for reports in trial_reports)):
+        reached = [reports[k] for reports in trial_reports if len(reports) > k]
+        out.append((
+            float(np.mean([s.p_left for s in reached])),
+            float(np.mean([s.p_right for s in reached])),
+            len(reached),
+        ))
+    return out
 
 
 def pn_decay(reports: list[matching_mod.StageReport]) -> PnDecay:

@@ -130,22 +130,6 @@ def parse_adjacency_text(text: str) -> GraphFamily:
 # Ladder labels are pairs (n, z) with z in {0, 1}.
 
 
-def ladder_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
-    dn = abs(a[0] - b[0])
-    if a[1] == b[1]:
-        return dn
-    return max(dn, 1)
-
-
-def tree_distance(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    k = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        k += 1
-    return (len(a) - k) + (len(b) - k)
-
-
 def sphere_size_infinite(family: GraphFamily, r: int) -> int:
     """Size of a radius-r sphere in the infinite graph of the family."""
     if r < 0:

@@ -89,11 +89,6 @@ class Matching:
     def size(self) -> int:
         return int(np.count_nonzero(self.matchL >= 0))
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return [
-            (i, int(j)) for i, j in enumerate(self.matchL) if j >= 0
-        ]
-
     def matched_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """(left point, position in the graph's left CSR arrays) of each
         matched pair that is an edge, in left-point order."""

@@ -44,30 +44,6 @@ def psi(sig: Sequence[int]) -> Fraction:
     return Fraction(num, 1 << total)
 
 
-def psi_decode(value: Fraction, n_entries: int) -> tuple[int, ...]:
-    """Invert psi given the entry count (trailing zero entries carry no
-    binary digits, so the length cannot be inferred from the value)."""
-    f = Fraction(value)
-    if not (0 <= f < 1):
-        raise ValueError("psi values lie in [0, 1)")
-    entries: list[int] = []
-    run = 0
-    while f:
-        f *= 2
-        if f >= 1:
-            f -= 1
-            run += 1
-        else:
-            entries.append(run)
-            run = 0
-    if run:
-        entries.append(run)
-    if len(entries) > n_entries:
-        raise ValueError("value encodes more entries than stated")
-    entries.extend([0] * (n_entries - len(entries)))
-    return tuple(entries)
-
-
 @dataclass(frozen=True)
 class OrderFactor:
     """Total order over the window's vertices.

@@ -342,10 +342,11 @@ def components_above(
 
 
 def dump_radius_field(fieldobj: RadiusField) -> list[str]:
-    """Lines "vertex_id R_v mode flags"."""
+    """CSV lines: the header "vertex,R,mode,flags", then one line per
+    vertex."""
     flag_names = {0: "censored", 1: "clause1", 2: "clause2"}
-    return [
-        f"{v} {int(fieldobj.values[v])} {fieldobj.mode} "
+    return ["vertex,R,mode,flags"] + [
+        f"{v},{int(fieldobj.values[v])},{fieldobj.mode},"
         f"{flag_names[int(fieldobj.clause[v])]}"
         for v in range(len(fieldobj.values))
     ]

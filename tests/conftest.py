@@ -1,4 +1,5 @@
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,6 +144,51 @@ def bfs_oracle(adj):
                     q.append(w)
         out.append(dist)
     return out
+
+
+def tree_distance(a, b):
+    """Regular-tree distance between two root-path labels: both climb to
+    their longest common prefix."""
+    k = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        k += 1
+    return (len(a) - k) + (len(b) - k)
+
+
+def ladder_distance(a, b):
+    """Diagonal-ladder distance between labels (n, z): a rung change
+    rides along any level step, and costs one step on its own."""
+    dn = abs(a[0] - b[0])
+    if a[1] == b[1]:
+        return dn
+    return max(dn, 1)
+
+
+def psi_decode(value, n_entries):
+    """Invert order.psi given the entry count (trailing zero entries
+    carry no binary digits, so the length cannot be inferred from the
+    value)."""
+    f = Fraction(value)
+    if not (0 <= f < 1):
+        raise ValueError("psi values lie in [0, 1)")
+    entries = []
+    run = 0
+    while f:
+        f *= 2
+        if f >= 1:
+            f -= 1
+            run += 1
+        else:
+            entries.append(run)
+            run = 0
+    if run:
+        entries.append(run)
+    if len(entries) > n_entries:
+        raise ValueError("value encodes more entries than stated")
+    entries.extend([0] * (n_entries - len(entries)))
+    return tuple(entries)
 
 
 @st.composite

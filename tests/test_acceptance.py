@@ -96,9 +96,12 @@ def test_criterion_03_degenerate_end_to_end(tree3_d8):
     # Stage 1 alone produces the identity pairing.
     assert res.reports[0].unmatched_left == 0
     assert res.matching.size == res.graph.n_left == res.graph.n_right
-    for i, j in res.matching.pairs():
-        assert res.graph.left_vertex[i] == res.graph.right_vertex[j]
-    curve = experiments.matching_distance_tail([res], [0, 1, 2, 3, 4])
+    assert np.array_equal(
+        res.graph.left_vertex, res.graph.right_vertex[res.matching.matchL]
+    )
+    curve = experiments.curve_from_rows(
+        [experiments.tail_row(res, [0, 1, 2, 3, 4])], w, [0, 1, 2, 3, 4]
+    )
     assert curve.estimates[0] == 1.0
     assert all(x == 0.0 for x in curve.estimates[1:])
     budget.done(f"{res.matching.size} pairs, all at distance 0, tail 0 beyond r=0")

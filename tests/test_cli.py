@@ -2,17 +2,25 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ppmatch import cli, processes
+from ppmatch import cli, experiments, processes
 from ppmatch.errors import ConfigurationError
+from ppmatch.graphs import build_window
 
 EXPLICIT12 = Path(__file__).resolve().parent / "golden" / "explicit12.adj"
 
 SMALL = [
     "--set", "graph.depth=5",
+    "--set", "graph.core_margin=2",
+    "--set", "radii.r0=2",
+]
+SMALL_TREE = [
+    "--set", "graph.depth=3",
     "--set", "graph.core_margin=2",
     "--set", "radii.r0=2",
 ]
@@ -192,6 +200,19 @@ def test_tail_byte_determinism(tmp_path):
         assert (tmp_path / "c" / name).read_bytes() == ref
 
 
+def test_tail_builds_its_window_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_build_window(*args, **kwargs):
+        calls.append(args)
+        return build_window(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_window", counting_build_window)
+    monkeypatch.setattr(experiments, "build_window", counting_build_window)
+    run_cli(["tail", "--seed", "11", "--trials", "3"] + SMALL, tmp_path)
+    assert len(calls) == 1
+
+
 def test_tail_stage_table_counts_reaching_trials(tmp_path):
     run_cli(["tail", "--seed", "11", "--trials", "3",
              "--set", "process_left.kind=poisson"] + SMALL, tmp_path)
@@ -333,3 +354,73 @@ def test_import_leaves_scipy_stats_unloaded():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# Robustness: random --set values end in exit 0 or 2, never a raw exception
+# ---------------------------------------------------------------------------
+
+MALFORMED = ["", "x", "1.5", "1,,2", "-1"]
+# Integers stop at 64: radii.radius_cap, order.r_max and matcher.max_stage
+# have no upper bound, and the work grows with each (at 10**5 a run on
+# the 12-vertex graph takes more than 20 s).
+INTS = ["0", "1", "2", "3", "64"]
+
+# Each key's values: the boundaries of its type, and malformed strings
+# for every key but run.workers.  The window stays tiny (tree depth
+# <= 3), and exact mode, which can draw 200,000 sets per vertex and
+# radius at the default size cap, never runs with a size cap above 3.
+SET_VALUES = {
+    "graph.family": ["regular_tree", "ladder_diagonal", "explicit"],
+    "graph.degree": ["2", "3", "4"],
+    "graph.depth": ["0", "1", "2", "3"],
+    "graph.core_margin": ["0", "1", "2", "3"],
+    "graph.adjacency_file": [str(EXPLICIT12)],
+    "process_left.kind": ["poisson", "degenerate", "perturbed"],
+    "process_left.distance_law": ["0:1", "0:0.5,1:0.5", "1:0", "3:1"],
+    "process_right.kind": ["poisson", "degenerate", "perturbed"],
+    "process_right.distance_law": ["0:1", "2:1", "1:2.5"],
+    "radii.r0": ["2", "4"],
+    "radii.mode": ["support", "exact"],
+    "radii.size_cap": ["0", "1", "3", "6"],
+    "radii.radius_cap": INTS,
+    "order.r_max": INTS,
+    "matcher.max_stage": INTS,
+    "matcher.sweep_cap": INTS,
+    "matcher.chain_cap": INTS,
+    "run.seed": INTS,
+    "run.trials": ["1", "2", "3"],
+    "run.tail_radii": ["0", "0,1,2", "64"],
+    "run.experiments": [
+        "chebyshev", "hall", "indep", "pn", "discrepancy", "greedy",
+        "dominance", "hall,dominance,pn",
+    ],
+}
+
+
+@st.composite
+def set_overrides(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(SET_VALUES)), max_size=4,
+                         unique=True))
+    values = {
+        key: draw(st.sampled_from(SET_VALUES[key]) | st.sampled_from(MALFORMED))
+        for key in keys
+    }
+    # 6 is the default size cap.
+    if values.get("radii.mode") == "exact" and (
+        values.get("radii.size_cap", "6") == "6"
+    ):
+        values["radii.size_cap"] = draw(st.sampled_from(["0", "1", "3"]))
+    values["run.workers"] = draw(st.sampled_from(["0", "1", "2"]))
+    return values
+
+
+@settings(max_examples=50, deadline=None)
+@given(command=st.sampled_from(["match", "tail", "verify"]),
+       values=set_overrides())
+def test_random_settings_exit_cleanly(command, values):
+    args = [command] + SMALL_TREE
+    for key, value in values.items():
+        args += ["--set", f"{key}={value}"]
+    with tempfile.TemporaryDirectory() as out:
+        assert cli.main(args + ["--out", out]) in (0, 2)

@@ -154,7 +154,7 @@ def two_cycles():
 def test_unreachable_vertices_lie_outside_every_ball():
     w = two_cycles()
     curve = experiments.curve_from_rows(
-        [np.array([0.5, 0.3, 0.1])], w, [0, 1, 2]
+        [(np.array([0.5, 0.3, 0.1]), 12)], w, [0, 1, 2]
     )
     assert curve.ball_sizes == (1.0, 3.0, 5.0)
     assert experiments.set_distance(w, [0], [7]) == UNREACHABLE
@@ -164,6 +164,9 @@ def test_unreachable_vertices_lie_outside_every_ball():
         w, poisson, poisson, 3, experiments.PipelineConfig(r0=2)
     )
     res.matching.assert_valid()
-    for i, j in res.matching.pairs():
-        assert (res.graph.left_vertex[i] < 6) == (res.graph.right_vertex[j] < 6)
+    i, e = res.matching.matched_edges()
+    assert len(i) == res.matching.size
+    j = res.graph.indices_left[e]
+    assert ((res.graph.left_vertex[i] < 6)
+            == (res.graph.right_vertex[j] < 6)).all()
     assert (res.left_distance[res.left_distance >= 0] <= 10).all()

@@ -11,6 +11,7 @@ from ppmatch.errors import (
 )
 from ppmatch.graphs import GraphFamily, build_window
 from ppmatch.matching import StageReport
+from ppmatch.seeds import derive_seed
 
 
 DEG = processes.ProcessSpec.degenerate()
@@ -39,11 +40,12 @@ def path_window(n):
 # ---------------------------------------------------------------------------
 
 
-def test_resolved_order_r_max(tree3_d8):
-    assert experiments.PipelineConfig(r0=4).resolved_order_r_max(tree3_d8) == 0
-    assert experiments.PipelineConfig(r0=2).resolved_order_r_max(tree3_d8) == 2
+def test_resolved_order_r_max():
+    assert experiments.PipelineConfig(r0=4).resolved_order_r_max(4) == 0
+    assert experiments.PipelineConfig(r0=2).resolved_order_r_max(4) == 2
+    assert experiments.PipelineConfig(r0=4).resolved_order_r_max(2) == 0
     cfg = experiments.PipelineConfig(r0=4, order_r_max=1)
-    assert cfg.resolved_order_r_max(tree3_d8) == 1
+    assert cfg.resolved_order_r_max(4) == 1
 
 
 def test_pipeline_degenerate_end_state(
@@ -55,40 +57,57 @@ def test_pipeline_degenerate_end_state(
     matched = res.left_distance >= 0
     assert matched.all()
     assert (res.left_distance == 0).all()
-    assert (res.right_distance == 0).all()
     assert np.array_equal(
         res.live_vertices,
         ~(res.field_left.censored | res.field_right.censored),
     )
     # Matched distances agree with a direct recomputation.
-    for i, j in res.matching.pairs():
+    for i, j in enumerate(res.matching.matchL):
         d = tree3_d8.distance(
             int(res.graph.left_vertex[i]), int(res.graph.right_vertex[j])
         )
         assert res.left_distance[i] == d
-    # Poisson against Poisson: matched pairs sit apart, and both sides
-    # carry each pair's distance.
+    # Poisson against Poisson: matched pairs sit apart.
     res = poisson_pipeline_d5
-    pairs = res.matching.pairs()
-    assert len(pairs) > 0
+    matched = np.flatnonzero(res.matching.matchL >= 0)
+    assert len(matched) > 0
     assert (res.left_distance > 0).any()
-    for i, j in pairs:
+    for i in matched:
+        j = res.matching.matchL[i]
         d = tree3_d5.distance(
             int(res.graph.left_vertex[i]), int(res.graph.right_vertex[j])
         )
-        assert res.left_distance[i] == res.right_distance[j] == d
-    assert (res.left_distance >= 0).sum() == len(pairs)
-    assert (res.right_distance >= 0).sum() == len(pairs)
+        assert res.left_distance[i] == d
+    assert (res.left_distance >= 0).sum() == len(matched)
+
+
+def matched_count(res):
+    return res.matching.size
+
+
+def test_run_trials_in_trial_order(tree3_d5):
+    cfg = experiments.PipelineConfig(r0=2)
+    want = [
+        experiments.run_matching_pipeline(
+            tree3_d5, POI, POI, derive_seed(5, "depth", 5, "trial", t), cfg
+        ).matching.size
+        for t in range(3)
+    ]
+    assert len(set(want)) > 1
+    for workers in (1, 2):
+        assert experiments.run_trials(
+            tree3_d5, POI, POI, cfg, 3, 5, "depth", 5, "trial",
+            reduce=matched_count, workers=workers,
+        ) == want
 
 
 def test_pipeline_builds_order_from_left(tree3_d5):
     cfg = experiments.PipelineConfig(r0=2)
     res = experiments.run_matching_pipeline(tree3_d5, POI, DEG, 11, cfg)
-    of = order.build_order(res.left, tree3_d5, cfg.resolved_order_r_max(tree3_d5))
+    r_max = cfg.resolved_order_r_max(tree3_d5.core_margin)
+    of = order.build_order(res.left, tree3_d5, r_max)
     assert np.array_equal(res.order.vertex_rank, of.vertex_rank)
-    of_right = order.build_order(
-        res.right, tree3_d5, cfg.resolved_order_r_max(tree3_d5)
-    )
+    of_right = order.build_order(res.right, tree3_d5, r_max)
     assert not np.array_equal(res.order.vertex_rank, of_right.vertex_rank)
 
 
@@ -98,7 +117,10 @@ def test_pipeline_builds_order_from_left(tree3_d5):
 
 
 def test_tail_degenerate_exact(deg_pipeline_d8):
-    curve = experiments.matching_distance_tail([deg_pipeline_d8], [0, 1, 2])
+    curve = experiments.curve_from_rows(
+        [experiments.tail_row(deg_pipeline_d8, [0, 1, 2])],
+        deg_pipeline_d8.window, [0, 1, 2],
+    )
     assert curve.estimates == (1.0, 0.0, 0.0)
     assert curve.ball_sizes == (1.0, 4.0, 10.0)
     assert curve.stderrs == (0.0, 0.0, 0.0)
@@ -119,14 +141,24 @@ def test_tail_curve_rejects_increase():
 
 
 def test_tail_empty_inputs(tree3_d5):
-    with pytest.raises(ValueError):
-        experiments.matching_distance_tail([], [0, 1])
     with pytest.raises(CensoringError):
         experiments.curve_from_rows([], tree3_d5, [0, 1])
+    with pytest.raises(CensoringError):
+        experiments.curve_from_rows(
+            [(np.zeros(2), 0), (np.zeros(2), 0)], tree3_d5, [0, 1]
+        )
+    curve = experiments.curve_from_rows(
+        [(np.array([1.0, 0.5]), 3), (np.zeros(2), 0)], tree3_d5, [0, 1]
+    )
+    assert curve.estimates == (1.0, 0.5)
+    assert curve.n_trials == 1
 
 
 def test_tail_csv_format(deg_pipeline_d8):
-    curve = experiments.matching_distance_tail([deg_pipeline_d8], [0, 1])
+    curve = experiments.curve_from_rows(
+        [experiments.tail_row(deg_pipeline_d8, [0, 1])],
+        deg_pipeline_d8.window, [0, 1],
+    )
     lines = experiments.tail_csv(curve)
     assert lines[0] == "r,b_r,estimate,stderr"
     assert lines[1] == "0,1,1,0"
@@ -135,7 +167,9 @@ def test_tail_csv_format(deg_pipeline_d8):
 
 def test_tail_ball_sizes_averaged_in_explicit_window():
     w = path_window(5)
-    curve = experiments.curve_from_rows([np.array([1.0, 0.5, 0.25])], w, [0, 1, 2])
+    curve = experiments.curve_from_rows(
+        [(np.array([1.0, 0.5, 0.25]), 5)], w, [0, 1, 2]
+    )
     # Mean ball sizes over the 5-path: interior vertices see more.
     assert curve.ball_sizes == (1.0, 2.6, 3.8)
     assert curve.estimates == (1.0, 0.5, 0.25)
@@ -148,9 +182,9 @@ def test_unmatched_count_at_every_radius(tree3_d5):
     cfg = experiments.PipelineConfig(r0=2)
     res = experiments.run_matching_pipeline(tree3_d5, DEG, POI, 3, cfg)
     vals_inf, base = experiments.tail_row(
-        res, [0, 5, 50], side="left", unmatched_as_infinite=True
+        res, [0, 5, 50], unmatched_as_infinite=True
     )
-    vals_fin, base2 = experiments.tail_row(res, [0, 5, 50], side="left")
+    vals_fin, base2 = experiments.tail_row(res, [0, 5, 50])
     assert base == base2 > 0
     unmatched_rate = vals_inf[2] - vals_fin[2]
     assert vals_inf[2] >= vals_fin[2]
@@ -283,7 +317,7 @@ def test_indep_set_catches_planted_edge(poisson_pipeline_d5):
         field_left=res.field_left, field_right=res.field_right,
         graph=g, order=res.order, ranks=res.ranks, matching=res.matching,
         reports=res.reports, snapshots=[snap],
-        left_distance=res.left_distance, right_distance=res.right_distance,
+        left_distance=res.left_distance,
     )
     with pytest.raises(ContractViolationError):
         experiments.verify_indep_set(broken)
@@ -372,6 +406,18 @@ def fake_reports(p_left, p_right=None):
             p_left=a, p_right=b, wall_s=0.0,
         )
         for k, (a, b) in enumerate(zip(p_left, p_right))
+    ]
+
+
+def test_stage_means_count_reaching_trials():
+    means = experiments.stage_means([
+        fake_reports([0.4, 0.2, 0.1], [0.5, 0.3, 0.2]),
+        fake_reports([0.6]),
+    ])
+    assert means == [
+        (pytest.approx(0.5), pytest.approx(0.55), 2),
+        (0.2, 0.3, 1),
+        (0.1, 0.2, 1),
     ]
 
 

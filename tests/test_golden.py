@@ -1,4 +1,5 @@
-"""Golden artifact lock: sha256 of every artifact of a few small CLI runs.
+"""Golden artifact lock: sha256 of every artifact of a few small CLI runs
+and of one small trend-report run.
 
 The determinism contract makes every artifact except ``manifest.txt``
 byte-identical for a fixed (config, seed).  This test pins those bytes
@@ -19,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,7 +28,8 @@ import pytest
 
 from ppmatch import cli
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 HASHES = GOLDEN / "hashes.json"
 
 _TREE = ["--set", "graph.depth=5", "--set", "graph.core_margin=2",
@@ -76,6 +79,18 @@ RUNS = {
 }
 
 
+# scripts/trend_report.py arguments (without --out)
+TREND = ["--depths", "5", "6", "--trials", "3", "--seed", "11"]
+
+
+def dir_hashes(out: Path) -> dict[str, str]:
+    return {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(out.iterdir())
+        if f.name != "manifest.txt"
+    }
+
+
 def artifact_hashes(argv: list[str], out: Path) -> dict[str, str]:
     """Run one CLI command from inside tests/golden and hash its output."""
     cwd = os.getcwd()
@@ -85,11 +100,19 @@ def artifact_hashes(argv: list[str], out: Path) -> dict[str, str]:
     finally:
         os.chdir(cwd)
     assert code == 0, f"{argv[0]} exited {code}"
-    return {
-        f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-        for f in sorted(out.iterdir())
-        if f.name != "manifest.txt"
-    }
+    return dir_hashes(out)
+
+
+def trend_hashes(out: Path) -> dict[str, str]:
+    """Run the trend report script and hash every file it writes."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "trend_report.py"),
+         *TREND, "--out", str(out)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return dir_hashes(out)
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -100,6 +123,11 @@ def test_golden_artifacts(name, tmp_path, capsys):
     assert got == expected
 
 
+def test_golden_trend_report(tmp_path):
+    expected = json.loads(HASHES.read_text())["trend-report"]
+    assert trend_hashes(tmp_path) == expected
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -108,6 +136,7 @@ if __name__ == "__main__":
             name: artifact_hashes(argv, Path(tmp) / name)
             for name, argv in sorted(RUNS.items())
         }
+        table["trend-report"] = trend_hashes(Path(tmp) / "trend-report")
     HASHES.write_text(json.dumps(table, sort_keys=True, indent=2) + "\n")
     print(f"wrote {HASHES} ({sum(map(len, table.values()))} artifacts)",
           file=sys.stderr)

@@ -9,12 +9,11 @@ from ppmatch.graphs import (
     GraphFamily,
     ball_size_infinite,
     build_window,
-    ladder_distance,
     parse_adjacency_text,
     spectral_radius,
     sphere_size_infinite,
-    tree_distance,
 )
+from conftest import ladder_distance, tree_distance
 
 
 def test_tree_ball_sizes_closed_form():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ppmatch import order, processes
 from ppmatch.graphs import GraphFamily, build_window
-from conftest import bfs_oracle, derive, graphs
+from conftest import bfs_oracle, derive, graphs, psi_decode
 
 
 def test_psi_frozen_values():
@@ -22,13 +22,13 @@ def test_psi_frozen_values():
 
 
 def test_psi_decode_roundtrip_edges():
-    assert order.psi_decode(Fraction(0), 3) == (0, 0, 0)
-    assert order.psi_decode(Fraction(1, 2), 3) == (1, 0, 0)
-    assert order.psi_decode(Fraction(3, 4), 2) == (2, 0)
+    assert psi_decode(Fraction(0), 3) == (0, 0, 0)
+    assert psi_decode(Fraction(1, 2), 3) == (1, 0, 0)
+    assert psi_decode(Fraction(3, 4), 2) == (2, 0)
     with pytest.raises(ValueError):
-        order.psi_decode(Fraction(1, 2), 0)
+        psi_decode(Fraction(1, 2), 0)
     with pytest.raises(ValueError):
-        order.psi_decode(Fraction(3, 2), 1)
+        psi_decode(Fraction(3, 2), 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -36,7 +36,7 @@ def test_psi_decode_roundtrip_edges():
 def test_psi_roundtrip(sig):
     val = order.psi(sig)
     assert 0 <= val < 1
-    assert order.psi_decode(val, len(sig)) == tuple(sig)
+    assert psi_decode(val, len(sig)) == tuple(sig)
 
 
 @settings(max_examples=200, deadline=None)

@@ -486,6 +486,6 @@ def test_dump_radius_field_format(tree3_d8):
     own = v_set(tree3_d8)
     fld = radii.compute_radius_field(own, own, tree3_d8, 4)
     lines = radii.dump_radius_field(fld)
-    assert len(lines) == tree3_d8.n
-    assert lines[0] == "0 4 support clause1"
-    assert any(line.endswith("censored") for line in lines)
+    assert len(lines) == tree3_d8.n + 1
+    assert lines[:2] == ["vertex,R,mode,flags", "0,4,support,clause1"]
+    assert any(line.endswith(",censored") for line in lines)
