@@ -360,15 +360,17 @@ def _cmd_match(cfg: RunConfig) -> dict:
     res = experiments.run_matching_pipeline(
         w, cfg.spec_left, cfg.spec_right, cfg.seed, cfg.pipeline
     )
+    # The curve fails when every core vertex is censored: build it
+    # before the first write, so that a failing run writes nothing.
+    curve = experiments.curve_from_rows(
+        [experiments.tail_row(res, cfg.tail_radii)], w, cfg.tail_radii
+    )
     _write(cfg, "matching.txt", matching.dump_matching(res.matching, res.graph))
     _write(cfg, "stages.csv", matching.stage_reports_csv(res.reports))
     _write(cfg, "graph.txt", bipartite.dump_graph(res.graph))
     _write(cfg, "order.txt", order.dump_order(res.order))
     _write(cfg, "radii_left.csv", radii.dump_radius_field(res.field_left))
     _write(cfg, "radii_right.csv", radii.dump_radius_field(res.field_right))
-    curve = experiments.curve_from_rows(
-        [experiments.tail_row(res, cfg.tail_radii)], w, cfg.tail_radii
-    )
     _write(cfg, "tail.csv", experiments.tail_csv(curve))
     return {
         "n_left": res.graph.n_left,

@@ -52,6 +52,9 @@ INF_KEY = np.iinfo(np.int64).max
 
 _FIELD_BITS = 13
 _MAX_KERNEL_POINTS = (1 << _FIELD_BITS) - 3  # ranks + offset interiors must fit
+#: Most stages `run` accepts as an explicit max_stage: each stage, vacuous
+#: or not, keeps a report and a snapshot.
+MAX_STAGE_CAP = 100_000
 
 
 def point_order(g: MatchGraph, vertex_rank: np.ndarray) -> np.ndarray:
@@ -592,9 +595,14 @@ def run(
     report is synthesized with zero sweeps and zero wall time.  The third
     return value holds a read-only copy of matchL after each stage, for
     diagnostic replay; a vacuous stage shares the copy before it.
+    An explicit max_stage above MAX_STAGE_CAP raises ResourceError.
     """
     if max_stage is None:
         max_stage = max(1, math.ceil(g.n_points / 4) + 1)
+    elif max_stage > MAX_STAGE_CAP:
+        raise ResourceError(
+            f"max_stage {max_stage} exceeds the cap of {MAX_STAGE_CAP} stages"
+        )
     if max_stage < 1:
         raise ConfigurationError("max_stage must be >= 1")
     m = Matching(g)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .enumeration import connected_subsets_containing
 from .errors import ConfigurationError
-from .graphs import ROW_BLOCK, GapComponents, GraphWindow
+from .graphs import GapComponents, GraphWindow
 from .processes import PointMultiset, count_in
 
 CENSORED = -1
@@ -277,25 +277,32 @@ def _support_radii(
         ids = lab[member[k]]
         settle = [(k, complete[ids], own_c[ids], other_c[ids])]
 
-        # Off-support vertices take ROW_BLOCK truncated rows at a time,
-        # read on the support grouped by component.
-        bare = np.where(within, 0, other.counts)
-        by_comp = np.argsort(lab, kind="stable")
-        starts = np.searchsorted(lab[by_comp], np.arange(len(own_c)))
-        off = np.nonzero(open_ & ~on)[0]
-        for s in range(0, len(off), ROW_BLOCK):
-            k = off[s : s + ROW_BLOCK]
-            rows = window.dist_row(pending[k], 4 * r)
-            # meets[i, c]: component c lies within 4r of pending[k[i]].
-            meets = np.logical_or.reduceat(
-                rows[:, supp[by_comp]] <= 4 * r, starts, axis=1
+        # Off-support vertices join the components within 4r of them:
+        # one bounded BFS per component, read at the open vertices, and
+        # one ball count of the opposite points outside every
+        # enlargement.
+        k = np.nonzero(open_ & ~on)[0]
+        if len(k):
+            at = pending[k]
+            own_u = np.zeros(len(k))
+            other_u = window.ball_counts(
+                np.where(within, 0, other.counts), r
+            )[at].astype(float)
+            incomplete = ~ok[at]
+            # Members grouped by component; with no component the one
+            # empty group meets no counts in the zip below.
+            groups = np.split(
+                supp[np.argsort(lab, kind="stable")],
+                np.cumsum(np.bincount(lab))[:-1],
             )
-            settle.append((
-                k,
-                ok[pending[k]] & ~(meets & ~complete).any(axis=1),
-                meets @ own_c,
-                meets @ other_c + (rows <= r) @ bare,
-            ))
+            for members, own_k, other_k, complete_k in zip(
+                groups, own_c, other_c, complete
+            ):
+                hit = window.dist_from(members, 4 * r)[at] <= 4 * r
+                own_u += own_k * hit
+                other_u += other_k * hit
+                incomplete |= hit & ~complete_k
+            settle.append((k, ~incomplete, own_u, other_u))
 
         for k, complete_u, own_u, other_u in settle:
             holds = _holds(complete_u, own_u, other_u, r)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppmatch import cli, experiments, processes
+from ppmatch import cli, experiments, matching, processes
 from ppmatch.errors import ConfigurationError
 from ppmatch.graphs import build_window
 
@@ -265,6 +265,33 @@ def test_max_stage_below_one_exits_2(command, tmp_path, capsys):
     assert "matcher.max_stage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["match", "tail"])
+def test_max_stage_above_cap_exits_2(command, tmp_path, capsys):
+    rc = cli.main(
+        [command, "--set", f"matcher.max_stage={2**64}",
+         "--out", str(tmp_path)] + SMALL
+    )
+    assert rc == 2
+    assert str(matching.MAX_STAGE_CAP) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_match_with_every_core_vertex_censored_writes_nothing(
+    seed, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    rc = cli.main(
+        ["match", "--seed", str(seed), "--out", str(out),
+         "--set", "graph.depth=3", "--set", "graph.core_margin=2",
+         "--set", "radii.r0=2", "--set", "process_left.kind=poisson"]
+    )
+    assert rc == 2
+    assert "every core vertex was censored in every trial" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_trend_report_rejects_short_stage_cap(tmp_path):
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
@@ -361,9 +388,10 @@ def test_import_leaves_scipy_stats_unloaded():
 # ---------------------------------------------------------------------------
 
 MALFORMED = ["", "x", "1.5", "1,,2", "-1"]
-# Integers stop at 64: radii.radius_cap, order.r_max and matcher.max_stage
-# have no upper bound, and the work grows with each (at 10**5 a run on
-# the 12-vertex graph takes more than 20 s).
+# Integers stop at 64: radii.radius_cap and order.r_max have no upper
+# bound, and the work grows with each (at 10**5 a run on the 12-vertex
+# graph takes more than 20 s).  matcher.max_stage has a declared cap, so
+# it also draws 2**64, which must exit 2.
 INTS = ["0", "1", "2", "3", "64"]
 
 # Each key's values: the boundaries of its type, and malformed strings
@@ -385,7 +413,7 @@ SET_VALUES = {
     "radii.size_cap": ["0", "1", "3", "6"],
     "radii.radius_cap": INTS,
     "order.r_max": INTS,
-    "matcher.max_stage": INTS,
+    "matcher.max_stage": INTS + [str(2**64)],
     "matcher.sweep_cap": INTS,
     "matcher.chain_cap": INTS,
     "run.seed": INTS,

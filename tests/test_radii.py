@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from ppmatch import processes, radii
 from ppmatch.enumeration import connected_subsets_containing
 from ppmatch.errors import ConfigurationError
-from ppmatch.graphs import GapComponents, GraphFamily, build_window
+from ppmatch.graphs import GapComponents, GraphFamily, GraphWindow, build_window
 from conftest import attach_tree_adjacency, bfs_oracle, derive, graphs
 
 
@@ -317,6 +317,8 @@ def test_support_field_matches_oracle(adj, data, r0, extra):
     (10, {6: 1}, {0: 3}),
     # The point at 4 is within r of both 2 and the support: it counts once.
     (10, {6: 2}, {4: 3}),
+    # No own points: no component, and every pending vertex holds at r0+1.
+    (10, {}, {0: 3}),
 ])
 def test_support_field_matches_oracle_at_boundaries(n, own, other):
     adj = [[u for u in (v - 1, v + 1) if 0 <= u < n] for v in range(n)]
@@ -432,6 +434,76 @@ def test_support_field_builds_tables_only_for_open_vertices(tree3_d5, monkeypatc
     drawn.clear()
     radii.compute_radius_field(v_set(w), v_set(w), w, 2, radius_cap=40)
     assert drawn == []
+
+
+def two_components_case():
+    # Own points at 2 and 24 stay apart up to gap 20 and join at 24.  At
+    # r = 3 off-support vertex 13 lies 11 from both: own(U) = 2 against
+    # 3 + 2 opposite points on the two enlargements and 2 at 14, outside
+    # both but within r of 13, so it holds only when all three count.
+    # Vertex 49 meets neither component and holds with own(U) = 0.
+    # Vertices 18..36 fail at every radius they reach and end censored.
+    return path_case(50, {2: 1, 24: 1}, {4: 3, 14: 2, 26: 2})
+
+
+def test_support_field_off_support_vertex_meets_two_components():
+    w, own, other = two_components_case()
+    fld = radii.compute_radius_field(
+        processes.multiset_from_counts(own), processes.multiset_from_counts(other),
+        w, 2, radius_cap=6,
+    )
+    got = field_lists(fld)
+    assert got[13] == got[49] == (3, 2)
+    adj = [ns.tolist() for ns in w.neighbors]
+    assert got == oracle_support_field(adj, own, other, 2, 6)
+
+
+def spy_on_distances(monkeypatch):
+    """Record (sources, limit) of every `dist_from` call and the sources
+    of every `dist_row` call a window answers."""
+    calls = {"dist_from": [], "dist_row": []}
+    dist_from, dist_row = GraphWindow.dist_from, GraphWindow.dist_row
+
+    def spy_from(self, sources, limit=None):
+        calls["dist_from"].append((np.ravel(sources).tolist(), limit))
+        return dist_from(self, sources, limit)
+
+    def spy_row(self, v, limit=None):
+        calls["dist_row"].append(np.ravel(v).tolist())
+        return dist_row(self, v, limit)
+
+    monkeypatch.setattr(GraphWindow, "dist_from", spy_from)
+    monkeypatch.setattr(GraphWindow, "dist_row", spy_row)
+    return calls
+
+
+def test_support_field_takes_one_bfs_per_component(tree3_d5, monkeypatch):
+    # Off-support vertices are open at r = 3..6: two components at gaps
+    # 12, 16 and 20, one at 24.  No distance row is drawn.
+    w, own, other = two_components_case()
+    calls = spy_on_distances(monkeypatch)
+    radii.compute_radius_field(
+        processes.multiset_from_counts(own), processes.multiset_from_counts(other),
+        w, 2, radius_cap=6,
+    )
+    assert calls == {
+        "dist_from": [
+            ([2], 12), ([24], 12), ([2], 16), ([24], 16),
+            ([2], 20), ([24], 20), ([2, 24], 24),
+        ],
+        "dist_row": [],
+    }
+    # No off-support vertex is pending in the tree case or in a field
+    # of one point per vertex: no distance query at all.
+    for got in calls.values():
+        got.clear()
+    w, own, other, _ = tree_case(tree3_d5)
+    radii.compute_radius_field(
+        processes.multiset_from_counts(own), processes.multiset_from_counts(other),
+        w, 2, radius_cap=6,
+    )
+    radii.compute_radius_field(v_set(w), v_set(w), w, 2, radius_cap=6)
+    assert calls == {"dist_from": [], "dist_row": []}
 
 
 def test_radius_cap_censors_unresolved(tree3_d8):
