@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bipartite, experiments, matching, order, processes, radii
-from .errors import ConfigurationError, PpmatchError
+from .errors import ConfigurationError, PpmatchError, ResourceError
 from .graphs import GraphFamily, GraphWindow, build_window, parse_adjacency_text
 from .seeds import derive_seed
 
@@ -128,7 +128,23 @@ class RunConfig:
     config_hash: str
 
     def window(self) -> GraphWindow:
-        return build_window(self.family, self.depth, self.core_margin)
+        """The configured window.  Its vertex count caps the radius keys
+        (order.r_max also at its default, core_margin - r0): every
+        window distance is below it, and the work of radii.radius_cap
+        (exact mode) and order.r_max grows with the value, so a larger
+        one raises ResourceError."""
+        w = build_window(self.family, self.depth, self.core_margin)
+        for key, value in (
+            ("radii.radius_cap", self.pipeline.radius_cap),
+            ("order.r_max",
+             self.pipeline.resolved_order_r_max(self.core_margin)),
+        ):
+            if value is not None and value > w.n:
+                raise ResourceError(
+                    f"{key}={value} exceeds the cap of {w.n}, the "
+                    f"window's vertex count"
+                )
+        return w
 
 
 def _resolve(raw: configparser.ConfigParser) -> dict[str, dict[str, str]]:
@@ -333,7 +349,7 @@ def _cmd_sample(cfg: RunConfig) -> dict:
     _write(cfg, "left_points.txt", processes.dump_multiset(left))
     _write(cfg, "right_points.txt", processes.dump_multiset(right))
     return {
-        "n_vertices": len(w.labels),
+        "n_vertices": w.n,
         "left_points": int(left.total),
         "right_points": int(right.total),
         "left_discarded": left.discarded,

@@ -212,7 +212,7 @@ class TailCurve:
 
 
 def _core_mask(window: GraphWindow) -> np.ndarray:
-    mask = np.zeros(len(window.labels), dtype=bool)
+    mask = np.zeros(window.n, dtype=bool)
     mask[window.core] = True
     return mask
 
@@ -639,7 +639,7 @@ def verify_discrepancy(
         start = int(core_ids[hash_u64(ts, "start") % len(core_ids)])
         target = 1 + int(hash_u64(ts, "size") % max_size)
         u_set = _grow_rconnected(window, start, target, 1, ts)
-        mask = np.zeros(len(window.labels), dtype=bool)
+        mask = np.zeros(window.n, dtype=bool)
         mask[u_set] = True
         grown = window.dist_from(u_set, r) <= r
         own = int(pm_l.counts[mask].sum())
@@ -841,7 +841,7 @@ def sample_rconnected_family(
 ) -> tuple[list[list[int]], int, int]:
     """Random family of r-connected sets whose union is r-connected,
     plus two far-apart endpoints inside the union."""
-    n = len(window.labels)
+    n = window.n
     sets: list[list[int]] = []
     union: set[int] = set()
     for k in range(n_sets):

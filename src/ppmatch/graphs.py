@@ -19,7 +19,6 @@ sizes and the regular tree's spectral radius in closed form.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -242,26 +241,28 @@ class GraphWindow:
         depth: int,
         core_margin: int,
         labels: Sequence,
-        neighbors: Sequence[Sequence[int]],
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        depth_from_root: np.ndarray | None = None,
     ):
+        """`indptr` and `indices` are the CSR adjacency, each row sorted.
+        `depth_from_root` defaults to one BFS from vertex 0."""
         self.family = family
         self.depth = depth
         self.core_margin = core_margin
         self.labels = tuple(labels)
-        self.label_to_index = {lab: i for i, lab in enumerate(self.labels)}
-        self.neighbors = tuple(
-            np.asarray(sorted(ns), dtype=np.int32) for ns in neighbors
-        )
         self.n = len(self.labels)
-        indices = np.concatenate((np.empty(0, np.int32),) + self.neighbors)
-        indptr = np.cumsum([0] + [len(ns) for ns in self.neighbors])
         # Unit weights in float64, the dtype csgraph works in, so that no
         # query converts the matrix.
         self._adj = csr_matrix(
             (np.ones(len(indices)), indices, indptr), shape=(self.n, self.n)
         )
         self._reach: list[csr_matrix] = []  # _reach[r]: pairs within r
-        self.depth_from_root = self.dist_row(0) if self.n else indices
+        if depth_from_root is None:
+            depth_from_root = (
+                self.dist_row(0) if self.n else np.empty(0, np.int32)
+            )
+        self.depth_from_root = depth_from_root
 
     # -- construction ------------------------------------------------------
 
@@ -274,9 +275,15 @@ class GraphWindow:
     @cached_property
     def label_keys(self) -> tuple[bytes, ...]:
         """Each label encoded as a hash part (`seeds.part_key`), built on
-        first use.  The bytes do not depend on the seed, so a window
-        reused across trials encodes its labels once."""
+        first use (tree windows fill it in as they are built).  The bytes
+        do not depend on the seed, so a window reused across trials
+        encodes its labels once."""
         return tuple(map(part_key, self.labels))
+
+    @cached_property
+    def label_to_index(self) -> dict:
+        """Window index of each label, built on first use."""
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     # -- metric queries ----------------------------------------------------
 
@@ -428,6 +435,55 @@ class GapComponents:
         return got
 
 
+def _csr(n: int, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) of the arcs rows[k] -> cols[k] on n
+    vertices, each row's neighbours in increasing order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[np.lexsort((cols, rows))]
+
+
+def _tree_window(
+    family: GraphFamily, depth: int, core_margin: int
+) -> GraphWindow:
+    """The depth-L regular-tree window, from index arithmetic.
+
+    BFS order numbers the root's d children 1..d, then gives every later
+    vertex d-1 consecutive children, so vertex w >= 1 has parent 0 and
+    child digit w-1 when w <= d, else parent 1 + (w-1-d)//(d-1) and
+    digit (w-1-d) % (d-1).
+    """
+    d = family.degree
+    sizes = [sphere_size_infinite(family, k) for k in range(depth + 1)]
+    n = sum(sizes)
+    child = np.arange(1, n)
+    below = child - 1 - d
+    parent = np.where(below < 0, 0, 1 + below // (d - 1))
+    digit = np.where(below < 0, child - 1, below % (d - 1))
+    indptr, indices = _csr(n, np.r_[parent, child], np.r_[child, parent])
+
+    # keys[v] is part_key(labels[v]): the label's repr, then 0x1f.  A
+    # child's repr is its parent's with ", c)" for the closing ")", but
+    # for the root's children ("(c,)") and theirs ("(a,)" -> "(a, c)").
+    labels: list[tuple[int, ...]] = [()]
+    keys = [b"()\x1f"]
+    tails = [b", %d)\x1f" % c for c in range(d)]
+    for p, c in zip(parent.tolist(), digit.tolist()):
+        labels.append(labels[p] + (c,))
+        if p == 0:
+            keys.append(b"(%d,)\x1f" % c)
+        else:
+            keys.append(keys[p][: -3 if p <= d else -2] + tails[c])
+    window = GraphWindow(
+        family, depth, core_margin, labels, indptr, indices,
+        np.repeat(np.arange(depth + 1, dtype=np.int32), sizes),
+    )
+    window.__dict__["label_keys"] = tuple(keys)  # fills the cached property
+    return window
+
+
 def build_window(
     family: GraphFamily,
     depth: int,
@@ -444,11 +500,15 @@ def build_window(
     if core_margin < 0:
         raise ConfigurationError("core_margin must be >= 0")
     if family.kind == EXPLICIT:
-        n = len(family.adjacency)
+        adj = family.adjacency
+        n = len(adj)
         if n > max_vertices:
             raise ResourceError(f"explicit graph has {n} > {max_vertices} vertices")
-        labels = list(range(n))
-        return GraphWindow(family, depth, core_margin, labels, family.adjacency)
+        rows = np.repeat(np.arange(n), [len(ns) for ns in adj])
+        indptr, indices = _csr(n, rows, [w for ns in adj for w in ns])
+        return GraphWindow(
+            family, depth, core_margin, range(n), indptr, indices
+        )
 
     if depth < 0:
         raise ConfigurationError("depth must be >= 0")
@@ -460,34 +520,15 @@ def build_window(
             raise ResourceError(
                 f"tree window of depth {depth} exceeds {max_vertices} vertices"
             )
-        d = family.degree
-        labels: list[tuple[int, ...]] = [()]
-        adj: list[list[int]] = [[]]
-        frontier = [0]
-        for _ in range(depth):
-            nxt = []
-            for v in frontier:
-                lab = labels[v]
-                n_children = d if v == 0 else d - 1
-                for c in range(n_children):
-                    w = len(labels)
-                    labels.append(lab + (c,))
-                    adj.append([])
-                    adj[v].append(w)
-                    adj[w].append(v)
-                    nxt.append(w)
-            frontier = nxt
-        return GraphWindow(family, depth, core_margin, labels, adj)
+        return _tree_window(family, depth, core_margin)
 
     if family.kind == LADDER_DIAGONAL:
         root = (0, 0)
         labels = [root]
         index = {root: 0}
-        dist = {root: 0}
-        q = deque([root])
-        while q:
-            lab = q.popleft()
-            if dist[lab] == depth:
+        level = [0]
+        for lab, lev in zip(labels, level):  # both grow: a BFS queue
+            if lev == depth:
                 continue
             n0, z0 = lab
             for dn, dz in LADDER_GENERATORS:
@@ -497,16 +538,20 @@ def build_window(
                         raise ResourceError("ladder window exceeds vertex cap")
                     index[nb] = len(labels)
                     labels.append(nb)
-                    dist[nb] = dist[lab] + 1
-                    q.append(nb)
-        adj = [[] for _ in labels]
+                    level.append(lev + 1)
+        # The five generators reach five distinct neighbours.
+        rows, cols = [], []
         for i, (n0, z0) in enumerate(labels):
             for dn, dz in LADDER_GENERATORS:
-                nb = (n0 + dn, (z0 + dz) % 2)
-                j = index.get(nb)
-                if j is not None and j not in adj[i]:
-                    adj[i].append(j)
-        return GraphWindow(family, depth, core_margin, labels, adj)
+                j = index.get((n0 + dn, (z0 + dz) % 2))
+                if j is not None:
+                    rows.append(i)
+                    cols.append(j)
+        indptr, indices = _csr(len(labels), rows, cols)
+        return GraphWindow(
+            family, depth, core_margin, labels, indptr, indices,
+            np.asarray(level, dtype=np.int32),
+        )
 
     raise ConfigurationError(f"unknown family kind {family.kind!r}")
 

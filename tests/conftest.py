@@ -6,7 +6,10 @@ import pytest
 from hypothesis import strategies as st
 
 from ppmatch import bipartite
-from ppmatch.graphs import GraphFamily, build_window
+from ppmatch.graphs import (
+    EXPLICIT, LADDER_GENERATORS, REGULAR_TREE, UNREACHABLE, GraphFamily,
+    build_window,
+)
 from ppmatch.seeds import derive_seed, uniform_stream
 
 
@@ -128,22 +131,79 @@ def derive(*parts):
     return derive_seed(20260825, *parts)
 
 
+def bfs_from(adj, s):
+    """dist[t] from s for every t, None when t is unreachable."""
+    dist = [None] * len(adj)
+    dist[s] = 0
+    q = deque([s])
+    while q:
+        v = q.popleft()
+        for w in adj[v]:
+            if dist[w] is None:
+                dist[w] = dist[v] + 1
+                q.append(w)
+    return dist
+
+
 def bfs_oracle(adj):
     """dist[s][t] for every pair, None when t is unreachable from s."""
-    n = len(adj)
-    out = []
-    for s in range(n):
-        dist = [None] * n
-        dist[s] = 0
-        q = deque([s])
+    return [bfs_from(adj, s) for s in range(len(adj))]
+
+
+def window_adjacency(w):
+    """The neighbour lists of a window, read off its CSR adjacency."""
+    return [ns.tolist() for ns in np.split(w._adj.indices, w._adj.indptr[1:-1])]
+
+
+def window_oracle(family, depth):
+    """A window built as Python lists by breadth-first search from the
+    root: (labels, sorted neighbour lists, depth of each vertex), the
+    depth UNREACHABLE for a vertex the root does not reach."""
+    if family.kind == EXPLICIT:
+        labels = list(range(len(family.adjacency)))
+        adj = [list(ns) for ns in family.adjacency]
+    elif family.kind == REGULAR_TREE:
+        d = family.degree
+        labels = [()]
+        adj = [[]]
+        frontier = [0]
+        for _ in range(depth):
+            nxt = []
+            for v in frontier:
+                for c in range(d if v == 0 else d - 1):
+                    w = len(labels)
+                    labels.append(labels[v] + (c,))
+                    adj.append([v])
+                    adj[v].append(w)
+                    nxt.append(w)
+            frontier = nxt
+    else:
+        root = (0, 0)
+        labels = [root]
+        index = {root: 0}
+        dist = {root: 0}
+        q = deque([root])
         while q:
-            v = q.popleft()
-            for w in adj[v]:
-                if dist[w] is None:
-                    dist[w] = dist[v] + 1
-                    q.append(w)
-        out.append(dist)
-    return out
+            lab = q.popleft()
+            if dist[lab] == depth:
+                continue
+            for dn, dz in LADDER_GENERATORS:
+                nb = (lab[0] + dn, (lab[1] + dz) % 2)
+                if nb not in index:
+                    index[nb] = len(labels)
+                    labels.append(nb)
+                    dist[nb] = dist[lab] + 1
+                    q.append(nb)
+        adj = [[] for _ in labels]
+        for i, (n0, z0) in enumerate(labels):
+            for dn, dz in LADDER_GENERATORS:
+                j = index.get((n0 + dn, (z0 + dz) % 2))
+                if j is not None and j not in adj[i]:
+                    adj[i].append(j)
+    depth_from_root = [
+        UNREACHABLE if x is None else x for x in bfs_from(adj, 0)
+    ]
+    return labels, [sorted(ns) for ns in adj], depth_from_root
 
 
 def tree_distance(a, b):

@@ -275,6 +275,26 @@ def test_max_stage_above_cap_exits_2(command, tmp_path, capsys):
     assert str(matching.MAX_STAGE_CAP) in capsys.readouterr().err
 
 
+# graph.core_margin sets order.r_max's default, core_margin - r0.
+@pytest.mark.parametrize("setting, key", [
+    ("radii.radius_cap", "radii.radius_cap"),
+    ("order.r_max", "order.r_max"),
+    ("graph.core_margin", "order.r_max"),
+])
+def test_radius_key_above_vertex_count_exits_2(setting, key, tmp_path, capsys):
+    rc = cli.main(
+        ["match", "--out", str(tmp_path),
+         "--set", "graph.family=explicit",
+         "--set", f"graph.adjacency_file={EXPLICIT12}",
+         "--set", "radii.r0=2", "--set", "radii.mode=exact",
+         "--set", "radii.size_cap=3", "--set", f"{setting}={10**5}"]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert key in err and "cap of 12" in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("seed", [1, 3])
 def test_match_with_every_core_vertex_censored_writes_nothing(
     seed, tmp_path, capsys
@@ -388,10 +408,11 @@ def test_import_leaves_scipy_stats_unloaded():
 # ---------------------------------------------------------------------------
 
 MALFORMED = ["", "x", "1.5", "1,,2", "-1"]
-# Integers stop at 64: radii.radius_cap and order.r_max have no upper
-# bound, and the work grows with each (at 10**5 a run on the 12-vertex
-# graph takes more than 20 s).  matcher.max_stage has a declared cap, so
-# it also draws 2**64, which must exit 2.
+# Integers stop at 64, except for the keys with a declared cap, which
+# also draw a value above it that must exit 2: matcher.max_stage draws
+# 2**64, and radii.radius_cap and order.r_max (capped at the window's
+# vertex count; at 10**5 uncapped, a run on the 12-vertex graph took
+# more than 20 s) draw 10**5.
 INTS = ["0", "1", "2", "3", "64"]
 
 # Each key's values: the boundaries of its type, and malformed strings
@@ -411,8 +432,8 @@ SET_VALUES = {
     "radii.r0": ["2", "4"],
     "radii.mode": ["support", "exact"],
     "radii.size_cap": ["0", "1", "3", "6"],
-    "radii.radius_cap": INTS,
-    "order.r_max": INTS,
+    "radii.radius_cap": INTS + [str(10**5)],
+    "order.r_max": INTS + [str(10**5)],
     "matcher.max_stage": INTS + [str(2**64)],
     "matcher.sweep_cap": INTS,
     "matcher.chain_cap": INTS,

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ from ppmatch.graphs import (
     spectral_radius,
     sphere_size_infinite,
 )
-from conftest import ladder_distance, tree_distance
+from ppmatch.seeds import part_key
+from conftest import ladder_distance, tree_distance, window_oracle
+
+EXPLICIT12 = Path(__file__).resolve().parent / "golden" / "explicit12.adj"
 
 
 def test_tree_ball_sizes_closed_form():
@@ -39,7 +43,7 @@ def test_tree_window_vertex_count_and_core(tree3_d8):
 
 def test_tree_degrees(tree3_d8):
     w = tree3_d8
-    degs = np.array([len(ns) for ns in w.neighbors])
+    degs = np.diff(w._adj.indptr)
     inner = w.depth_from_root < w.depth
     assert (degs[inner] == 3).all()
     assert (degs[~inner] == 1).all()
@@ -170,3 +174,26 @@ def test_window_size_matches_formula(degree, depth):
     assert int((w.depth_from_root == depth).sum()) == sphere_size_infinite(
         fam, depth
     )
+
+
+WINDOW_CASES = (
+    [pytest.param(GraphFamily.regular_tree(d), depth, id=f"tree{d}-{depth}")
+     for d in (3, 4, 5) for depth in range(7)]
+    + [pytest.param(GraphFamily.ladder_diagonal(), depth, id=f"ladder-{depth}")
+       for depth in range(6)]
+    + [pytest.param(parse_adjacency_text(EXPLICIT12.read_text()), 0,
+                    id="explicit12")]
+)
+
+
+@pytest.mark.parametrize("family, depth", WINDOW_CASES)
+def test_build_window_matches_list_oracle(family, depth):
+    w = build_window(family, depth)
+    labels, adj, depth_from_root = window_oracle(family, depth)
+    assert w.labels == tuple(labels)
+    assert w.label_keys == tuple(part_key(lab) for lab in w.labels)
+    indptr = np.cumsum([0] + [len(ns) for ns in adj])
+    assert w._adj.indptr.tolist() == indptr.tolist()
+    assert w._adj.indices.tolist() == [v for ns in adj for v in ns]
+    assert w.depth_from_root.tolist() == depth_from_root
+    assert w.label_to_index == {lab: i for i, lab in enumerate(labels)}

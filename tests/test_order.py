@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ppmatch import order, processes
 from ppmatch.graphs import GraphFamily, build_window
-from conftest import bfs_oracle, derive, graphs, psi_decode
+from conftest import bfs_oracle, derive, graphs, psi_decode, window_adjacency
 
 
 def test_psi_frozen_values():
@@ -218,7 +218,7 @@ def test_build_order_matches_oracle_on_explicit_graphs(data, adj, r_max):
 @given(data=st.data(), r_max=st.integers(0, 4))
 def test_build_order_matches_oracle_on_tree_window(tree3_d5, data, r_max):
     w = tree3_d5
-    adj = [ns.tolist() for ns in w.neighbors]
+    adj = window_adjacency(w)
     counts = data.draw(st.lists(st.integers(0, 2), min_size=w.n, max_size=w.n))
     complete_radius = [w.depth - int(d) for d in w.depth_from_root]
     assert_order_matches_oracle(w, adj, counts, r_max, complete_radius)

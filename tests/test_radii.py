@@ -6,7 +6,9 @@ from ppmatch import processes, radii
 from ppmatch.enumeration import connected_subsets_containing
 from ppmatch.errors import ConfigurationError
 from ppmatch.graphs import GapComponents, GraphFamily, GraphWindow, build_window
-from conftest import attach_tree_adjacency, bfs_oracle, derive, graphs
+from conftest import (
+    attach_tree_adjacency, bfs_oracle, derive, graphs, window_adjacency,
+)
 
 
 def v_set(window):
@@ -351,7 +353,7 @@ def test_support_field_matches_oracle_on_tree_window(tree3_d5, data, extra):
         processes.multiset_from_counts(own), processes.multiset_from_counts(other),
         w, 2, radius_cap=2 + extra,
     )
-    adj = [ns.tolist() for ns in w.neighbors]
+    adj = window_adjacency(w)
     assert field_lists(fld) == oracle_support_field(adj, own, other, 2, 2 + extra, w.depth)
 
 
@@ -416,7 +418,7 @@ def test_support_exits(case, gaps, tree3_d5, monkeypatch):
     assert drawn == gaps
     got = field_lists(fld)
     assert {v: got[v] for v in want} == want
-    adj = [ns.tolist() for ns in w.neighbors]
+    adj = window_adjacency(w)
     depth = w.depth if w is tree3_d5 else None
     assert got == oracle_support_field(adj, own, other, 2, 6, depth)
 
@@ -454,7 +456,7 @@ def test_support_field_off_support_vertex_meets_two_components():
     )
     got = field_lists(fld)
     assert got[13] == got[49] == (3, 2)
-    adj = [ns.tolist() for ns in w.neighbors]
+    adj = window_adjacency(w)
     assert got == oracle_support_field(adj, own, other, 2, 6)
 
 
