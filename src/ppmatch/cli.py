@@ -25,7 +25,9 @@ import numpy as np
 
 from . import __version__, bipartite, experiments, matching, order, processes, radii
 from .errors import ConfigurationError, PpmatchError, ResourceError
-from .graphs import GraphFamily, GraphWindow, build_window, parse_adjacency_text
+from .graphs import (
+    EXPLICIT, GraphFamily, GraphWindow, build_window, parse_adjacency_text,
+)
 from .seeds import derive_seed
 
 _DEFAULTS = {
@@ -132,17 +134,25 @@ class RunConfig:
         (order.r_max also at its default, core_margin - r0): every
         window distance is below it, and the work of radii.radius_cap
         (exact mode) and order.r_max grows with the value, so a larger
-        one raises ResourceError."""
+        one raises ResourceError.  The window's largest distance (2 *
+        depth in a ball, n - 1 in an explicit graph) caps
+        run.tail_radii: a tail radius costs work that grows with it,
+        and its infinite-ball size can pass the float range."""
         w = build_window(self.family, self.depth, self.core_margin)
-        for key, value in (
-            ("radii.radius_cap", self.pipeline.radius_cap),
+        reach = w.n - 1 if self.family.kind == EXPLICIT else 2 * self.depth
+        for key, value, cap, what in (
+            ("radii.radius_cap", self.pipeline.radius_cap, w.n,
+             "vertex count"),
             ("order.r_max",
-             self.pipeline.resolved_order_r_max(self.core_margin)),
+             self.pipeline.resolved_order_r_max(self.core_margin), w.n,
+             "vertex count"),
+            ("run.tail_radii", max(self.tail_radii), reach,
+             "largest distance"),
         ):
-            if value is not None and value > w.n:
+            if value is not None and value > cap:
                 raise ResourceError(
-                    f"{key}={value} exceeds the cap of {w.n}, the "
-                    f"window's vertex count"
+                    f"{key}={value} exceeds the cap of {cap}, the "
+                    f"window's {what}"
                 )
         return w
 

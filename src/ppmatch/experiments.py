@@ -731,13 +731,10 @@ def greedy_sparse_subpath(
         raise ContractViolationError("endpoints must lie in the union")
 
     n_sets = len(sets)
-    dmat = np.empty((n_sets, n_sets), dtype=np.int64)
-    for a in range(n_sets):
-        dmat[a, a] = 0
-        for b in range(a + 1, n_sets):
-            d = set_distance(window, sets[a], sets[b])
-            dmat[a, b] = d
-            dmat[b, a] = d
+    # dmat[a, b]: the least distance between sets a and b, from one
+    # multi-source row per set.
+    rows = [window.dist_from(s) for s in sets]
+    dmat = np.array([[row[s].min() for s in sets] for row in rows], np.int64)
 
     starts = [i for i, s in enumerate(sets) if u in s]
     goals = {i for i, s in enumerate(sets) if v in s}
@@ -857,15 +854,11 @@ def sample_rconnected_family(
         members = _grow_rconnected(window, start, target, r, ks)
         sets.append(members)
         union.update(members)
-    pool = sorted(union)
-    best = (-1, pool[0], pool[0])
-    for a in pool:
-        row = window.dist_row(a)
-        for b in pool:
-            d = int(row[b])
-            if d > best[0]:
-                best = (d, a, b)
-    return sets, best[1], best[2]
+    # The farthest pair, the first in row-major order on a tie.
+    pool = np.array(sorted(union))
+    dist = window.dist_row(pool)[:, pool]
+    a, b = np.unravel_index(np.argmax(dist), dist.shape)
+    return sets, int(pool[a]), int(pool[b])
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix, identity
-from scipy.sparse.csgraph import (
-    connected_components, dijkstra, minimum_spanning_tree,
-)
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import ConfigurationError, ResourceError
 from .seeds import part_key
@@ -380,9 +378,10 @@ class GapComponents:
     graph-Voronoi cell.  A window edge (u, w) between the cells of s and
     t offers the weight d(s, u) + 1 + d(w, t); the minimum spanning tree
     of these boundary edges is one of the members' distance graph
-    (Mehlhorn, IPL 27, 1988), and cutting it at g leaves the components
-    at g (Gower & Ross, Applied Statistics 18, 1969).  The vertices must
-    be distinct.
+    (Mehlhorn, IPL 27, 1988).  Cutting a graph's edges at g leaves the
+    same components as cutting its minimum spanning tree at g (Gower &
+    Ross, Applied Statistics 18, 1969), so the components at g are those
+    of the boundary edges of weight <= g.  The vertices must be distinct.
 
     The BFS is kept: ``near[u]`` is the distance from window vertex u to
     its nearest member (UNREACHABLE: none reachable), ``cell[u]`` that
@@ -393,7 +392,8 @@ class GapComponents:
         self.vertices = np.asarray(vertices, dtype=np.int64).reshape(-1)
         self._labels: dict[int, np.ndarray] = {}
         k, adj = len(self.vertices), window._adj
-        self._tree = coo_matrix((k, k))
+        # Boundary edges (cell a, cell b, weight d(s, u) + 1 + d(w, t)).
+        self._edges = (np.empty(0, dtype=np.int64),) * 3
         self.near = np.full(window.n, UNREACHABLE, dtype=np.int32)
         self.cell = np.full(window.n, -1, dtype=np.int64)
         if k == 0:
@@ -411,24 +411,19 @@ class GapComponents:
         w = adj.indices
         cross = (u < w) & (nearest[u] != nearest[w])
         u, w = u[cross], w[cross]
-        a, b = np.sort([pos[nearest[u]], pos[nearest[w]]], axis=0)
-        weight = dist[u] + 1 + dist[w]
-        # A sparse matrix sums duplicate entries: keep the lightest edge
-        # between each pair of cells (the first one in this order).
-        order = np.lexsort((weight, b, a))
-        keep = order[np.unique(a[order] * k + b[order], return_index=True)[1]]
-        graph = csr_matrix((weight[keep], (a[keep], b[keep])), shape=(k, k))
-        self._tree = minimum_spanning_tree(graph).tocoo()
+        self._edges = (pos[nearest[u]], pos[nearest[w]], dist[u] + 1 + dist[w])
 
     def labels(self, gap: int) -> np.ndarray:
         """Component id of each member (aligned with ``vertices``) at
         `gap`; ids number the components in order of their first member."""
         got = self._labels.get(gap)
         if got is None:
-            t = self._tree
-            keep = t.data <= gap
+            a, b, weight = self._edges
+            keep = weight <= gap
+            k = len(self.vertices)
             links = coo_matrix(
-                (t.data[keep], (t.row[keep], t.col[keep])), shape=t.shape
+                (np.ones(np.count_nonzero(keep)), (a[keep], b[keep])),
+                shape=(k, k),
             )
             got = connected_components(links, directed=False)[1]
             self._labels[gap] = got

@@ -337,13 +337,20 @@ def _row_min(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pack(s, e, i1, i2):
-    return (
-        (s << (3 * _FIELD_BITS))
+def _key(u, i, j, w):
+    """Packed endpoint-first key of the path u-i-j-w from its point
+    ranks (i = j = -1 for the single edge u-w): the endpoint ranks,
+    smaller first, then the interior ranks plus one, read from the
+    smaller endpoint.  INF_KEY where an endpoint rank is INF_KEY."""
+    fwd = u < w
+    e = np.maximum(u, w)
+    packed = (
+        (np.minimum(u, w) << (3 * _FIELD_BITS))
         | (e << (2 * _FIELD_BITS))
-        | (i1 << _FIELD_BITS)
-        | i2
+        | ((np.where(fwd, i, j) + 1) << _FIELD_BITS)
+        | (np.where(fwd, j, i) + 1)
     )
+    return np.where(e < INF_KEY, packed, INF_KEY)
 
 
 def _kernel_sweep_select(
@@ -356,138 +363,57 @@ def _kernel_sweep_select(
     pair, the smallest chain through it uses the smallest-rank unmatched
     neighbors on both sides, so per-point minima over the full chain set
     reduce to row minima over the adjacency, and the selection rule can
-    be evaluated without materializing chains.
+    be evaluated without materializing chains.  Both sides share one
+    CSR over the global point ids; entries a mask rules out may hold
+    keys of no chain.
     """
-    n_left, n_right = g.n_left, g.n_right
-    rank_l = ranks[:n_left]
-    rank_r = ranks[n_left:]
-    rank_to_pid = np.empty(g.n_points, dtype=np.int64)
-    rank_to_pid[ranks] = np.arange(g.n_points, dtype=np.int64)
-
-    idxL = g.indices_left
-    idxR = g.indices_right
-    un_l = m.matchL == -1
-    un_r = m.matchR == -1
-
-    # Smallest unmatched-neighbor rank per row, both directions.
-    vals = np.where(un_r[idxL], rank_r[idxL], INF_KEY)
-    min_ur = _row_min(vals, g.indptr_left)  # per left point
-    vals = np.where(un_l[idxR], rank_l[idxR], INF_KEY)
-    min_ul = _row_min(vals, g.indptr_right)  # per right point
-
-    # Pair candidate key per matched left a (partner b = matchL[a]).
-    a_ids = np.nonzero(~un_l)[0]
-    key_pair = np.full(n_left, INF_KEY, dtype=np.int64)
-    if len(a_ids):
-        b_of_a = m.matchL[a_ids]
-        xv = min_ul[b_of_a]
-        yv = min_ur[a_ids]
-        ok = (xv < INF_KEY) & (yv < INF_KEY)
-        aa, bb = a_ids[ok], b_of_a[ok]
-        xa, ya = xv[ok], yv[ok]
-        ra, rb = rank_l[aa], rank_r[bb]
-        s = np.minimum(xa, ya)
-        e = np.maximum(xa, ya)
-        i1 = np.where(xa < ya, rb, ra) + 1
-        i2 = np.where(xa < ya, ra, rb) + 1
-        key_pair[aa] = _pack(s, e, i1, i2)
-
-    # Single-edge candidate key per unmatched point.
-    key1_l = np.full(n_left, INF_KEY, dtype=np.int64)
-    cand = un_l & (min_ur < INF_KEY)
-    if cand.any():
-        r_i = rank_l[cand]
-        jv = min_ur[cand]
-        key1_l[cand] = _pack(np.minimum(r_i, jv), np.maximum(r_i, jv), 0, 0)
-    key1_r = np.full(n_right, INF_KEY, dtype=np.int64)
-    cand_r = un_r & (min_ul < INF_KEY)
-    if cand_r.any():
-        r_j = rank_r[cand_r]
-        iv = min_ul[cand_r]
-        key1_r[cand_r] = _pack(np.minimum(iv, r_j), np.maximum(iv, r_j), 0, 0)
-
-    # Length-3 keys per edge incident to an unmatched endpoint.
-    owner_l = np.repeat(
-        np.arange(n_left, dtype=np.int64), np.diff(g.indptr_left)
+    n_left, n = g.n_left, g.n_points
+    ptr = np.concatenate(
+        (g.indptr_left, g.indptr_right[1:] + len(g.indices_left))
     )
-    b_edge = idxL
-    a_edge = m.matchR[b_edge]
-    live = (a_edge >= 0) & un_l[owner_l]
-    key3_l_vals = np.full(len(idxL), INF_KEY, dtype=np.int64)
-    if live.any():
-        yv = min_ur[a_edge[live]]
-        r_x = rank_l[owner_l[live]]
-        usable = yv < INF_KEY
-        sub = np.nonzero(live)[0][usable]
-        yvu = yv[usable]
-        r_xu = r_x[usable]
-        rb = rank_r[b_edge[sub]]
-        ra = rank_l[a_edge[sub]]
-        s = np.minimum(r_xu, yvu)
-        e = np.maximum(r_xu, yvu)
-        i1 = np.where(r_xu < yvu, rb, ra) + 1
-        i2 = np.where(r_xu < yvu, ra, rb) + 1
-        key3_l_vals[sub] = _pack(s, e, i1, i2)
-    key3_l = _row_min(key3_l_vals, g.indptr_left)
-
-    owner_r = np.repeat(
-        np.arange(n_right, dtype=np.int64), np.diff(g.indptr_right)
+    nbr = np.concatenate((g.indices_left + n_left, g.indices_right))
+    owner = np.repeat(np.arange(n), np.diff(ptr))
+    partner = np.concatenate(
+        (np.where(m.matchL >= 0, m.matchL + n_left, -1), m.matchR)
     )
-    a_edge_r = idxR
-    b_edge_r = m.matchL[a_edge_r]
-    live_r = (b_edge_r >= 0) & un_r[owner_r]
-    key3_r_vals = np.full(len(idxR), INF_KEY, dtype=np.int64)
-    if live_r.any():
-        xv = min_ul[b_edge_r[live_r]]
-        r_y = rank_r[owner_r[live_r]]
-        usable = xv < INF_KEY
-        sub = np.nonzero(live_r)[0][usable]
-        xvu = xv[usable]
-        r_yu = r_y[usable]
-        rb = rank_r[b_edge_r[live_r]][usable]
-        ra = rank_l[a_edge_r[live_r]][usable]
-        s = np.minimum(xvu, r_yu)
-        e = np.maximum(xvu, r_yu)
-        i1 = np.where(xvu < r_yu, rb, ra) + 1
-        i2 = np.where(xvu < r_yu, ra, rb) + 1
-        key3_r_vals[sub] = _pack(s, e, i1, i2)
-    key3_r = _row_min(key3_r_vals, g.indptr_right)
+    free = partner < 0
+    # ext[p]: the smallest rank among p's unmatched neighbors.
+    ext = _row_min(np.where(free[nbr], ranks[nbr], INF_KEY), ptr)
+    key1 = _key(ranks, -1, -1, ext)
+    # The chain ext[q]-q-p-ext[p] through each matched pair (p, q): the
+    # same key from both members.
+    key_pair = _key(ext[partner], ranks[partner], ranks, ext)
+    # The chain p-q-partner[q]-ext[partner[q]] through each matched
+    # neighbor q, minimized per row.
+    via = partner[nbr]
+    key3 = _row_min(
+        np.where(
+            via >= 0, _key(ranks[owner], ranks[nbr], ranks[via], ext[via]),
+            INF_KEY,
+        ),
+        ptr,
+    )
+    best = np.where(free, np.minimum(key1, key3), key_pair)
 
-    # Per-point minima over every stage-1 chain containing the point.
-    min_l = np.where(un_l, np.minimum(key1_l, key3_l), key_pair)
-    key_pair_r = np.full(n_right, INF_KEY, dtype=np.int64)
-    matched_r = np.nonzero(~un_r)[0]
-    if len(matched_r):
-        key_pair_r[matched_r] = key_pair[m.matchR[matched_r]]
-    min_r = np.where(un_r, np.minimum(key1_r, key3_r), key_pair_r)
-
-    selected: list[tuple[int, Chain]] = []
-
-    pick1 = np.nonzero(un_l & (key1_l < INF_KEY) & (key1_l == min_l))[0]
-    for i in pick1:
-        i = int(i)
-        jv = int(min_ur[i])
-        j = int(rank_to_pid[jv]) - n_left
-        k = int(key1_l[i])
-        if key1_r[j] == k and min_r[j] == k:
-            path = [i, n_left + j]
-            selected.append((k, Chain.canonical(path, ranks)))
-
-    pick3 = np.nonzero(key_pair < INF_KEY)[0]
-    for a in pick3:
-        a = int(a)
-        k = int(key_pair[a])
-        b = int(m.matchL[a])
-        xv = int(min_ul[b])
-        yv = int(min_ur[a])
-        x = int(rank_to_pid[xv])
-        y = int(rank_to_pid[yv]) - n_left
-        if min_l[x] == k and min_r[y] == k and min_l[a] == k and min_r[b] == k:
-            path = [x, n_left + b, a, n_left + y]
-            selected.append((k, Chain.canonical(path, ranks)))
-
-    selected.sort(key=lambda kc: kc[0])
-    return [c for _, c in selected]
+    rank_to_pid = np.empty(n, dtype=np.int64)
+    rank_to_pid[ranks] = np.arange(n, dtype=np.int64)
+    # A single edge is listed from its left end, a 3-chain from its left
+    # interior point; either is kept when it is every point's best.
+    p = np.flatnonzero((free & (key1 < INF_KEY) & (best == key1))[:n_left])
+    k1 = key1[p]
+    y = rank_to_pid[ext[p]]
+    one = best[y] == k1
+    a = np.flatnonzero((~free & (key_pair < INF_KEY))[:n_left])
+    k3 = key_pair[a]
+    b = partner[a]
+    x, z = rank_to_pid[ext[b]], rank_to_pid[ext[a]]
+    three = (best[x] == k3) & (best[z] == k3)
+    paths = (
+        np.column_stack((p, y))[one].tolist()
+        + np.column_stack((x, b, a, z))[three].tolist()
+    )
+    order = np.argsort(np.concatenate((k1[one], k3[three])))
+    return [Chain.canonical(paths[i], ranks) for i in order]
 
 
 # ---------------------------------------------------------------------------

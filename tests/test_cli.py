@@ -295,6 +295,30 @@ def test_radius_key_above_vertex_count_exits_2(setting, key, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+# The largest window distance: 2 * depth in a tree ball, n - 1 in the
+# explicit 12-vertex graph.  At 1023 on the depth-4 tree the ball size
+# of the infinite tree passes the float range.
+@pytest.mark.parametrize("command, window, radius, cap", [
+    ("tail", ["--set", "graph.depth=4"], 1023, 8),
+    ("match", ["--set", "graph.depth=4"], 9, 8),
+    ("match", ["--set", "graph.family=explicit",
+               "--set", f"graph.adjacency_file={EXPLICIT12}"], 12, 11),
+])
+def test_tail_radius_above_window_distance_exits_2(
+    command, window, radius, cap, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    rc = cli.main(
+        [command, "--seed", "5", "--trials", "2", "--out", str(out),
+         "--set", "graph.core_margin=2", "--set", "radii.r0=2",
+         "--set", f"run.tail_radii=0,{radius}"] + window
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "run.tail_radii" in err and f"cap of {cap}" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("seed", [1, 3])
 def test_match_with_every_core_vertex_censored_writes_nothing(
     seed, tmp_path, capsys
@@ -410,9 +434,11 @@ def test_import_leaves_scipy_stats_unloaded():
 MALFORMED = ["", "x", "1.5", "1,,2", "-1"]
 # Integers stop at 64, except for the keys with a declared cap, which
 # also draw a value above it that must exit 2: matcher.max_stage draws
-# 2**64, and radii.radius_cap and order.r_max (capped at the window's
+# 2**64, radii.radius_cap and order.r_max (capped at the window's
 # vertex count; at 10**5 uncapped, a run on the 12-vertex graph took
-# more than 20 s) draw 10**5.
+# more than 20 s) draw 10**5, and run.tail_radii (capped at the window's
+# largest distance; at 1023 uncapped, a tree run overflowed a float)
+# draws 1023.
 INTS = ["0", "1", "2", "3", "64"]
 
 # Each key's values: the boundaries of its type, and malformed strings
@@ -439,7 +465,7 @@ SET_VALUES = {
     "matcher.chain_cap": INTS,
     "run.seed": INTS,
     "run.trials": ["1", "2", "3"],
-    "run.tail_radii": ["0", "0,1,2", "64"],
+    "run.tail_radii": ["0", "0,1,2", "64", "0,1023"],
     "run.experiments": [
         "chebyshev", "hall", "indep", "pn", "discrepancy", "greedy",
         "dominance", "hall,dominance,pn",

@@ -8,7 +8,7 @@ generic sweep.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ppmatch import bipartite, matching
 from ppmatch.errors import (
@@ -326,24 +326,6 @@ def test_staged_equals_hopcroft_karp(seed):
     m.assert_valid()
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**9))
-def test_kernel_sweep_matches_generic_selection(seed):
-    g = random_instance(seed, 20, 20, edge_prob=0.3)
-    ranks = seeded_ranks(g, seed)
-    m = fresh(g)
-    # Walk a few sweeps; at each state both selection routes must agree.
-    for _ in range(6):
-        kernel = matching._kernel_sweep_select(g, m, ranks)
-        chains = matching.find_chains(g, m, 4, ranks)
-        generic = matching.select_minimal(chains, ranks)
-        assert [c.points for c in kernel] == [c.points for c in generic]
-        if not kernel:
-            break
-        for c in kernel:
-            matching.flip(m, c)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**9), st.integers(1, 3))
 def test_stage_leaves_no_short_chains(seed, n):
@@ -370,6 +352,33 @@ def long_path(n):
     ranks = np.empty(2 * n, dtype=np.int64)
     ranks[np.asarray(seq)] = np.arange(2 * n)
     return g, ranks
+
+
+def seeded_instance(seed, max_left, max_right, edge_prob):
+    g = random_instance(seed, max_left, max_right, edge_prob=edge_prob)
+    return g, seeded_ranks(g, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(
+    seeded_instance, st.integers(0, 10**9), st.integers(1, 36),
+    st.integers(1, 36), st.floats(0.05, 0.6),
+))
+@example(long_path(40))
+def test_kernel_sweep_matches_generic_selection(instance):
+    # Sweep until nothing is selected; at each state the kernel and the
+    # generic selection must select the same chains.
+    g, ranks = instance
+    m = fresh(g)
+    while True:
+        kernel = matching._kernel_sweep_select(g, m, ranks)
+        chains = matching.find_chains(g, m, 4, ranks)
+        generic = matching.select_minimal(chains, ranks)
+        assert [c.points for c in kernel] == [c.points for c in generic]
+        if not kernel:
+            break
+        for c in kernel:
+            matching.flip(m, c)
 
 
 def test_chain_longer_than_the_recursion_limit():
