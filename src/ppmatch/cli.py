@@ -30,6 +30,8 @@ from .graphs import (
 )
 from .seeds import derive_seed
 
+# The pipeline keys default to PipelineConfig's field defaults.
+_PIPELINE = experiments.PipelineConfig
 _DEFAULTS = {
     "graph": {
         "family": "regular_tree",
@@ -42,12 +44,16 @@ _DEFAULTS = {
     "process_right": {"kind": "poisson", "distance_law": ""},
     "radii": {
         "r0": "4",
-        "mode": radii.SUPPORT,
-        "size_cap": "6",
+        "mode": _PIPELINE.mode,
+        "size_cap": str(_PIPELINE.size_cap),
         "radius_cap": "",
     },
     "order": {"r_max": ""},
-    "matcher": {"max_stage": "", "sweep_cap": "10000", "chain_cap": "1000000"},
+    "matcher": {
+        "max_stage": "",
+        "sweep_cap": str(_PIPELINE.sweep_cap),
+        "chain_cap": str(_PIPELINE.chain_cap),
+    },
     "run": {
         "trials": "1",
         "seed": "1",
@@ -439,6 +445,7 @@ def _cmd_tail(cfg: RunConfig) -> dict:
 def _cmd_verify(cfg: RunConfig) -> dict:
     w = cfg.window()
     headline: dict = {"exact_assertion_failures": 0}
+    tables: list[tuple[str, list[str]]] = []
     for name in cfg.experiment_names:
         if name == "chebyshev":
             rep = experiments.verify_chebyshev(
@@ -479,7 +486,7 @@ def _cmd_verify(cfg: RunConfig) -> dict:
                     f"{s},{decay.p_left[k]:.10g},{decay.p_right[k]:.10g},"
                     f"{decay.halving_reference[k]:.10g}"
                 )
-            _write(cfg, "lemma_pn_decay.csv", lines)
+            tables.append(("lemma_pn_decay.csv", lines))
             headline["pn"] = {
                 "p_left_head": list(decay.p_left[:8]),
                 "n_stages": len(decay.p_left),
@@ -488,12 +495,18 @@ def _cmd_verify(cfg: RunConfig) -> dict:
             continue
         else:
             raise ConfigurationError(f"run.experiments: unknown name {name!r}")
-        _write(cfg, f"lemma_{rep.lemma_id}.csv", experiments.lemma_report_csv(rep))
+        tables.append(
+            (f"lemma_{rep.lemma_id}.csv", experiments.lemma_report_csv(rep))
+        )
         headline[name] = {
             "violations": rep.violations,
             "trials": rep.n_trials,
             "stderr": rep.stderr,
         }
+    # Any experiment can fail: write once all have run, so that a
+    # failing run writes nothing.
+    for name, lines in tables:
+        _write(cfg, name, lines)
     return headline
 
 

@@ -16,6 +16,7 @@ trial counts and standard errors, never asserted.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -48,8 +49,8 @@ class PipelineConfig:
     size_cap: int = 6
     order_r_max: int | None = None
     max_stage: int | None = None
-    sweep_cap: int = 10_000
-    chain_cap: int = 1_000_000
+    sweep_cap: int = matching_mod.SWEEP_CAP
+    chain_cap: int = matching_mod.CHAIN_CAP
 
     def resolved_order_r_max(self, core_margin: int) -> int:
         """order_r_max, by default the largest radius whose signature
@@ -168,18 +169,20 @@ def run_trials(
     """reduce(run) for trials t = 0 .. trials-1, in trial order, where
     trial t runs the pipeline on derive_seed(seed, *parts, t).
 
-    Each trial is reduced in the process that ran it, so with workers > 1
-    only the reductions travel back; reduce must then pickle (a
-    module-level function or a functools.partial of one).  The results do
-    not depend on the number of workers.
+    The pool has min(workers, trials, CPU count) processes; at one, the
+    trials run in this process.  Each trial is reduced in the process
+    that ran it, so with a pool only the reductions travel back; reduce
+    must then pickle (a module-level function or a functools.partial of
+    one).  The results do not depend on the number of workers.
     """
     args = (spec_left, spec_right, cfg, seed, parts, reduce)
-    if workers == 1:
+    pool_size = min(workers, trials, os.cpu_count() or 1)
+    if pool_size <= 1:
         return [_run_trial(window, *args, t) for t in range(trials)]
     import multiprocessing  # here, so that one-process runs never load it
 
     with multiprocessing.Pool(
-        workers, initializer=_worker_init,
+        pool_size, initializer=_worker_init,
         initargs=(window.family, window.depth, window.core_margin, args),
     ) as pool:
         return pool.map(_worker_trial, range(trials))
@@ -211,12 +214,6 @@ class TailCurve:
             raise ContractViolationError("tail curve must be nonincreasing")
 
 
-def _core_mask(window: GraphWindow) -> np.ndarray:
-    mask = np.zeros(window.n, dtype=bool)
-    mask[window.core] = True
-    return mask
-
-
 def tail_row(
     res: PipelineResult,
     radii_list: list[int],
@@ -231,7 +228,8 @@ def tail_row(
     points only.
     """
     dist, vert = res.left_distance, res.graph.left_vertex
-    core_ok = _core_mask(res.window) & ~res.field_left.censored
+    w = res.window
+    core_ok = w.ball_ok(w.core_margin) & ~res.field_left.censored
     n_base = int(core_ok.sum())
     if n_base == 0:
         return np.zeros(len(radii_list)), 0
@@ -373,9 +371,10 @@ def _dominance_trial(res: PipelineResult, radii_list: list[int]):
     tails, n_base = tail_row(res, radii_list, unmatched_as_infinite=True)
     if not n_base:
         return None
-    base = _core_mask(res.window) & ~res.field_left.censored
+    w = res.window
+    base = w.ball_ok(w.core_margin) & ~res.field_left.censored
     holes = [
-        hole_indicator_average(res.right, res.window, r, base)
+        hole_indicator_average(res.right, w, r, base)
         for r in radii_list
     ]
     return tails, holes

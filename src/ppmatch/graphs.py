@@ -35,6 +35,8 @@ from .seeds import part_key
 UNREACHABLE = np.iinfo(np.int32).max
 #: Sources per batched `GraphWindow.dist_row` call of the library.
 ROW_BLOCK = 256
+#: Most vertices `build_window` materializes.
+MAX_WINDOW_VERTICES = 200_000
 
 REGULAR_TREE = "regular_tree"
 LADDER_DIAGONAL = "ladder_diagonal"
@@ -390,7 +392,6 @@ class GapComponents:
 
     def __init__(self, window: GraphWindow, vertices):
         self.vertices = np.asarray(vertices, dtype=np.int64).reshape(-1)
-        self._labels: dict[int, np.ndarray] = {}
         k, adj = len(self.vertices), window._adj
         # Boundary edges (cell a, cell b, weight d(s, u) + 1 + d(w, t)).
         self._edges = (np.empty(0, dtype=np.int64),) * 3
@@ -416,18 +417,14 @@ class GapComponents:
     def labels(self, gap: int) -> np.ndarray:
         """Component id of each member (aligned with ``vertices``) at
         `gap`; ids number the components in order of their first member."""
-        got = self._labels.get(gap)
-        if got is None:
-            a, b, weight = self._edges
-            keep = weight <= gap
-            k = len(self.vertices)
-            links = coo_matrix(
-                (np.ones(np.count_nonzero(keep)), (a[keep], b[keep])),
-                shape=(k, k),
-            )
-            got = connected_components(links, directed=False)[1]
-            self._labels[gap] = got
-        return got
+        a, b, weight = self._edges
+        keep = weight <= gap
+        k = len(self.vertices)
+        links = coo_matrix(
+            (np.ones(np.count_nonzero(keep)), (a[keep], b[keep])),
+            shape=(k, k),
+        )
+        return connected_components(links, directed=False)[1]
 
 
 def _csr(n: int, rows, cols) -> tuple[np.ndarray, np.ndarray]:
@@ -480,25 +477,23 @@ def _tree_window(
 
 
 def build_window(
-    family: GraphFamily,
-    depth: int,
-    core_margin: int = 0,
-    *,
-    max_vertices: int = 200_000,
+    family: GraphFamily, depth: int, core_margin: int = 0
 ) -> GraphWindow:
     """Materialize the depth-L window of a family around its root.
 
     For explicit graphs the whole given graph is the window and `depth`
     is ignored.  Raises ResourceError when the vertex count would exceed
-    `max_vertices`.
+    MAX_WINDOW_VERTICES.
     """
     if core_margin < 0:
         raise ConfigurationError("core_margin must be >= 0")
     if family.kind == EXPLICIT:
         adj = family.adjacency
         n = len(adj)
-        if n > max_vertices:
-            raise ResourceError(f"explicit graph has {n} > {max_vertices} vertices")
+        if n > MAX_WINDOW_VERTICES:
+            raise ResourceError(
+                f"explicit graph has {n} > {MAX_WINDOW_VERTICES} vertices"
+            )
         rows = np.repeat(np.arange(n), [len(ns) for ns in adj])
         indptr, indices = _csr(n, rows, [w for ns in adj for w in ns])
         return GraphWindow(
@@ -511,9 +506,10 @@ def build_window(
         raise ConfigurationError("core_margin cannot exceed depth")
 
     if family.kind == REGULAR_TREE:
-        if ball_size_infinite(family, depth) > max_vertices:
+        if ball_size_infinite(family, depth) > MAX_WINDOW_VERTICES:
             raise ResourceError(
-                f"tree window of depth {depth} exceeds {max_vertices} vertices"
+                f"tree window of depth {depth} exceeds "
+                f"{MAX_WINDOW_VERTICES} vertices"
             )
         return _tree_window(family, depth, core_margin)
 
@@ -529,7 +525,7 @@ def build_window(
             for dn, dz in LADDER_GENERATORS:
                 nb = (n0 + dn, (z0 + dz) % 2)
                 if nb not in index:
-                    if len(labels) >= max_vertices:
+                    if len(labels) >= MAX_WINDOW_VERTICES:
                         raise ResourceError("ladder window exceeds vertex cap")
                     index[nb] = len(labels)
                     labels.append(nb)

@@ -9,10 +9,12 @@ chains simultaneously, until none remain.
 
 One certificate decides when a stage is done: s, the length of the
 shortest chain (None when there is none), from a layered alternating
-BFS (Hopcroft & Karp 1973).  A stage sweeps while s < 4n; `run` carries
-s from stage to stage, so a stage with s >= 4n searches nothing and gets
-a zero-sweep report.  The chain search cuts every branch that the
-reverse BFS from the chain ends shows cannot finish below 4n edges.
+BFS (Hopcroft & Karp 1973).  A stage sweeps while s < 4n.  `run` is the
+one loop over stages and sweeps: it computes s once for the empty
+matching and once after each sweep, so a stage with s >= 4n searches
+nothing and gets a zero-sweep report.  The chain search cuts every
+branch that the reverse BFS from the chain ends shows cannot finish
+below 4n edges.
 
 Chains are compared by an endpoint-first key: the ranks of the two
 endpoints (smaller first), then the ranks of the interior points read
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -55,6 +57,9 @@ _MAX_KERNEL_POINTS = (1 << _FIELD_BITS) - 3  # ranks + offset interiors must fit
 #: Most stages `run` accepts as an explicit max_stage: each stage, vacuous
 #: or not, keeps a report and a snapshot.
 MAX_STAGE_CAP = 100_000
+#: Default caps of `run`: sweeps per stage, and chains per search.
+SWEEP_CAP = 10_000
+CHAIN_CAP = 1_000_000
 
 
 def point_order(g: MatchGraph, vertex_rank: np.ndarray) -> np.ndarray:
@@ -157,7 +162,7 @@ def find_chains(
     max_len: int,
     ranks: np.ndarray,
     *,
-    cap: int = 1_000_000,
+    cap: int = CHAIN_CAP,
     stage_label: str = "chain search",
 ) -> list[Chain]:
     """Every chain with fewer than max_len edges, each exactly once.
@@ -436,92 +441,26 @@ class StageReport:
     shortest_chain: int | None = None
 
 
-def _report(
-    stage: int, sweeps: int, flips: int, m: Matching, wall: float, s: int | None
-) -> StageReport:
-    ul = int(np.count_nonzero(m.matchL == -1))
-    ur = int(np.count_nonzero(m.matchR == -1))
-    return StageReport(
-        stage,
-        sweeps,
-        flips,
-        ul,
-        ur,
-        ul / m.g.n_left if m.g.n_left else 0.0,
-        ur / m.g.n_right if m.g.n_right else 0.0,
-        wall,
-        s,
-    )
-
-
-def run_stage(
-    g: MatchGraph,
-    m: Matching,
-    n: int,
-    ranks: np.ndarray,
-    *,
-    sweep_cap: int = 10_000,
-    chain_cap: int = 1_000_000,
-) -> StageReport:
-    """Exhaust all chains shorter than 4n by minimal-chain sweeps.
-
-    Mutates m in place.  Each sweep flips the selected chains, checks the
-    matching and that no matched point became unmatched, and renews the
-    certificate; the stage ends when it certifies that no chain shorter
-    than 4n remains, and the report carries that certificate.
-    """
-    if n < 1:
-        raise ContractViolationError("stage index must be >= 1")
-    t0 = time.perf_counter()
-    max_len = 4 * n
-    use_kernel = n == 1 and g.n_points <= _MAX_KERNEL_POINTS
-    sweeps = 0
-    flips = 0
-    s = shortest_chain_length(g, m)
-    while s is not None and s < max_len:
-        if use_kernel:
-            selected = _kernel_sweep_select(g, m, ranks)
-        else:
-            chains = find_chains(
-                g, m, max_len, ranks,
-                cap=chain_cap, stage_label=f"stage {n}",
-            )
-            selected = select_minimal(chains, ranks)
-        if not selected:
-            raise StageDivergenceError(
-                f"stage {n}: chains of length {s} exist but none selected"
-            )
-        before_l, before_r = m.matchL >= 0, m.matchR >= 0
-        for c in selected:
-            flip(m, c)
-        m.assert_valid()
-        if (before_l & (m.matchL < 0)).any() or (before_r & (m.matchR < 0)).any():
-            raise ContractViolationError(f"stage {n}: a matched point became unmatched")
-        flips += len(selected)
-        sweeps += 1
-        if sweeps > sweep_cap:
-            raise StageDivergenceError(f"stage {n}: exceeded {sweep_cap} sweeps")
-        s = shortest_chain_length(g, m)
-    return _report(n, sweeps, flips, m, time.perf_counter() - t0, s)
-
-
 def run(
     g: MatchGraph,
     ranks: np.ndarray,
     max_stage: int | None = None,
     *,
-    sweep_cap: int = 10_000,
-    chain_cap: int = 1_000_000,
+    sweep_cap: int = SWEEP_CAP,
+    chain_cap: int = CHAIN_CAP,
 ) -> tuple[Matching, list[StageReport], list[np.ndarray]]:
     """Stages 1..max_stage; with the default max_stage the result is a
     maximum matching (no augmenting path of any length can survive).
 
-    The certificate s is carried from each stage's report to the next
-    stage; a stage with s >= 4n (or no chain at all) is vacuous, and its
-    report is synthesized with zero sweeps and zero wall time.  The third
-    return value holds a read-only copy of matchL after each stage, for
-    diagnostic replay; a vacuous stage shares the copy before it.
-    An explicit max_stage above MAX_STAGE_CAP raises ResourceError.
+    Stage n exhausts the chains shorter than 4n by minimal-chain sweeps:
+    each sweep flips the selected chains, checks the matching and that
+    no matched point became unmatched, and renews the certificate s,
+    which carries over to the next stage.  A stage with s >= 4n (or no
+    chain at all) sweeps nothing and keeps the counts before it, with
+    zero wall time.  The third return value holds a read-only copy of
+    matchL after each stage, for diagnostic replay; a stage without a
+    sweep shares the copy before it.  An explicit max_stage above
+    MAX_STAGE_CAP raises ResourceError.
     """
     if max_stage is None:
         max_stage = max(1, math.ceil(g.n_points / 4) + 1)
@@ -535,19 +474,55 @@ def run(
     reports: list[StageReport] = []
     snapshots: list[np.ndarray] = []
     s = shortest_chain_length(g, m)
-    rep = _report(0, 0, 0, m, 0.0, s)
+    ul, ur = g.n_left, g.n_right
     snap = m.matchL.copy()
+    snap.flags.writeable = False
     for n in range(1, max_stage + 1):
-        if s is not None and s < 4 * n:
-            rep = run_stage(
-                g, m, n, ranks, sweep_cap=sweep_cap, chain_cap=chain_cap
-            )
-            s = rep.shortest_chain
+        t0 = time.perf_counter()
+        use_kernel = n == 1 and g.n_points <= _MAX_KERNEL_POINTS
+        sweeps = flips = 0
+        while s is not None and s < 4 * n:
+            if use_kernel:
+                selected = _kernel_sweep_select(g, m, ranks)
+            else:
+                chains = find_chains(
+                    g, m, 4 * n, ranks,
+                    cap=chain_cap, stage_label=f"stage {n}",
+                )
+                selected = select_minimal(chains, ranks)
+            if not selected:
+                raise StageDivergenceError(
+                    f"stage {n}: chains of length {s} exist but none selected"
+                )
+            before_l, before_r = m.matchL >= 0, m.matchR >= 0
+            for c in selected:
+                flip(m, c)
+            m.assert_valid()
+            if ((before_l & (m.matchL < 0)).any()
+                    or (before_r & (m.matchR < 0)).any()):
+                raise ContractViolationError(
+                    f"stage {n}: a matched point became unmatched"
+                )
+            flips += len(selected)
+            sweeps += 1
+            if sweeps > sweep_cap:
+                raise StageDivergenceError(
+                    f"stage {n}: exceeded {sweep_cap} sweeps"
+                )
+            s = shortest_chain_length(g, m)
+        wall = 0.0
+        if sweeps:
+            ul = int(np.count_nonzero(m.matchL == -1))
+            ur = int(np.count_nonzero(m.matchR == -1))
+            wall = time.perf_counter() - t0
             snap = m.matchL.copy()
-        else:
-            rep = replace(rep, stage=n, sweeps=0, flips=0, wall_s=0.0)
-        snap.flags.writeable = False
-        reports.append(rep)
+            snap.flags.writeable = False
+        reports.append(StageReport(
+            n, sweeps, flips, ul, ur,
+            ul / g.n_left if g.n_left else 0.0,
+            ur / g.n_right if g.n_right else 0.0,
+            wall, s,
+        ))
         snapshots.append(snap)
     return m, reports, snapshots
 

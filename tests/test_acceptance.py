@@ -70,9 +70,8 @@ def test_criterion_02_stage_postcondition():
     for s in range(20):
         g = random_instance(derive_seed(2, "c2", s), 60, 60, edge_prob=0.08)
         ranks = seeded_ranks(g, derive_seed(2, "rk", s))
-        m = matching.Matching(g)
         for n in range(1, 6):
-            matching.run_stage(g, m, n, ranks)
+            m = matching.run(g, ranks, max_stage=n)[0]
             leftovers = exhaustive_chains_below(g, m, 4 * n)
             assert leftovers == [], (
                 f"instance {s} stage {n}: {len(leftovers)} short chains remain"

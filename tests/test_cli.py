@@ -255,6 +255,19 @@ def test_verify_pn_needs_three_stages(tmp_path, capsys):
     assert "max_stage" in capsys.readouterr().err
 
 
+def test_failing_verify_writes_nothing(tmp_path, capsys):
+    # chebyshev and indep succeed before pn fails on a one-stage run;
+    # their tables must not be left behind.
+    out = tmp_path / "out"
+    rc = cli.main(
+        ["verify", "--seed", "1", "--out", str(out),
+         "--set", "process_left.kind=poisson"] + SMALL_TREE
+    )
+    assert rc == 2
+    assert "at least 3 stages, got 1" in capsys.readouterr().err
+    assert not list(out.glob("lemma_*")) and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sample", "match"])
 def test_max_stage_below_one_exits_2(command, tmp_path, capsys):
     rc = cli.main(

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -99,6 +100,47 @@ def test_run_trials_in_trial_order(tree3_d5):
             tree3_d5, POI, POI, cfg, 3, 5, "depth", 5, "trial",
             reduce=matched_count, workers=workers,
         ) == want
+
+
+def test_run_trials_bounds_the_pool(tree3_d5, monkeypatch):
+    # The pool gets min(workers, trials, CPU count) processes, and none
+    # at one; a stand-in Pool records its size and runs in-process.
+    import multiprocessing
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(t) for t in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    monkeypatch.setattr(experiments, "_WORKER", {})
+    cfg = experiments.PipelineConfig(r0=2)
+    want = experiments.run_trials(
+        tree3_d5, POI, POI, cfg, 3, 5, "trial", reduce=matched_count
+    )
+    for cpus, workers, trials, size in [
+        (2, 8, 3, 2), (8, 8, 3, 3), (8, 2, 3, 2), (8, 8, 1, None),
+        (1, 8, 3, None), (None, 8, 3, None),
+    ]:
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        got = experiments.run_trials(
+            tree3_d5, POI, POI, cfg, trials, 5, "trial",
+            reduce=matched_count, workers=workers,
+        )
+        assert got == want[:trials]
+        assert sizes == ([] if size is None else [size])
 
 
 def test_pipeline_builds_order_from_left(tree3_d5):

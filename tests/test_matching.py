@@ -95,8 +95,7 @@ def test_select_minimal_blocks_overlaps():
 def test_two_pair_trace_full_stage():
     g = two_pair_trace()
     ranks = matching.point_order(g, np.arange(2, dtype=np.int64))
-    m = fresh(g)
-    rep = matching.run_stage(g, m, 1, ranks)
+    m, (rep,), _ = matching.run(g, ranks, max_stage=1)
     # Sweep 1 flips L0-R0; sweep 2 the surviving single edge L1-R1 (the
     # length-3 detour through the crossing edge loses at both of its
     # endpoints); sweep 3 finds nothing below length 4.
@@ -112,8 +111,7 @@ def test_disjoint_chains_flip_in_one_sweep():
         [0, 10], [0, 10], [(0, 0), (1, 1)]
     )
     ranks = matching.point_order(g, np.arange(11, dtype=np.int64))
-    m = fresh(g)
-    rep = matching.run_stage(g, m, 1, ranks)
+    m, (rep,), _ = matching.run(g, ranks, max_stage=1)
     assert m.size == 2
     assert rep.sweeps == 1 and rep.flips == 2  # disjoint: same sweep
 
@@ -125,9 +123,7 @@ def test_overlap_cascade_resolves_across_sweeps():
         [0, 1, 2], [0, 1, 2],
         [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)],
     )
-    ranks = index_ranks(g)
-    m = fresh(g)
-    rep = matching.run_stage(g, m, 1, ranks)
+    m, (rep,), _ = matching.run(g, index_ranks(g), max_stage=1)
     assert m.size == 3
     assert list(m.matchL) == [0, 1, 2]
     assert rep.flips == 3
@@ -170,7 +166,7 @@ def test_shortest_chain_length_certificate():
     m = fresh(g)
     assert matching.shortest_chain_length(g, m) == 1
     ranks = matching.point_order(g, np.arange(2, dtype=np.int64))
-    matching.run_stage(g, m, 1, ranks)
+    m = matching.run(g, ranks, max_stage=1)[0]
     assert matching.shortest_chain_length(g, m) is None
     # Perfect matching on an even cycle leaves only longer augmenting
     # structure; build a half-matched zigzag to get length 3.
@@ -186,9 +182,10 @@ def test_shortest_chain_length_certificate():
 @given(st.integers(0, 10**9), st.integers(0, 2))
 def test_shortest_chain_length_matches_exhaustive_search(seed, stages):
     g = random_instance(seed, 8, 8, edge_prob=0.3)
-    m = fresh(g)
-    for n in range(1, stages + 1):
-        matching.run_stage(g, m, n, seeded_ranks(g, seed))
+    if stages:
+        m = matching.run(g, seeded_ranks(g, seed), max_stage=stages)[0]
+    else:
+        m = fresh(g)
     chains = exhaustive_chains_below(g, m, g.n_points + 1)
     expected = min((len(c) - 1 for c in chains), default=None)
     assert matching.shortest_chain_length(g, m) == expected
@@ -250,14 +247,12 @@ def test_find_chains_cap():
         matching.find_chains(g, m, 4, index_ranks(g), cap=3)
 
 
-def test_run_stage_empty_selection_diverges():
-    # A graph with chains but an order under which selection must still
-    # pick something: selection is never empty when chains exist, so
-    # force divergence via the sweep cap instead.
+def test_run_sweep_cap_diverges():
+    # Selection is never empty when chains exist, so force divergence
+    # via the sweep cap: stage 1 needs more than one sweep here.
     g = random_instance(derive("div"), 12, 12, edge_prob=0.4)
-    m = fresh(g)
-    with pytest.raises(StageDivergenceError):
-        matching.run_stage(g, m, 1, index_ranks(g), sweep_cap=1)
+    with pytest.raises(StageDivergenceError, match="stage 1: exceeded 1 sweeps"):
+        matching.run(g, index_ranks(g), max_stage=1, sweep_cap=1)
 
 
 def test_run_produces_monotone_reports():
@@ -330,10 +325,7 @@ def test_staged_equals_hopcroft_karp(seed):
 @given(st.integers(0, 10**9), st.integers(1, 3))
 def test_stage_leaves_no_short_chains(seed, n):
     g = random_instance(seed, 16, 16)
-    ranks = seeded_ranks(g, seed)
-    m = fresh(g)
-    for k in range(1, n + 1):
-        matching.run_stage(g, m, k, ranks)
+    m = matching.run(g, seeded_ranks(g, seed), max_stage=n)[0]
     assert exhaustive_chains_below(g, m, 4 * n) == []
     m.assert_valid()
 
@@ -391,8 +383,9 @@ def test_chain_longer_than_the_recursion_limit():
 
 
 def test_vacuous_stages_run_no_certificate(monkeypatch):
-    # One BFS per sweep plus a few per searching stage; a stage that
-    # cannot search (no chain shorter than 4n) must not run one.
+    # One certificate per matching state: the empty matching, then one
+    # per sweep; a stage that cannot search (no chain shorter than 4n)
+    # must not run one.
     calls = []
     certify = matching.shortest_chain_length
 
@@ -405,6 +398,5 @@ def test_vacuous_stages_run_no_certificate(monkeypatch):
     m, reports, _ = matching.run(g, ranks)
     assert m.size == 60
     sweeps = sum(r.sweeps for r in reports)
-    searched = sum(1 for r in reports if r.sweeps)
-    assert sweeps + 2 * searched + 1 == 65
-    assert len(calls) <= 65
+    assert sweeps == 60
+    assert len(calls) == sweeps + 1
