@@ -46,7 +46,8 @@ class MatchGraph:
     space is needed (chains, ranks).  The edges come as three aligned
     arrays (left id, right id, tag) and, for graphs built on a window,
     a fourth with each edge's vertex distance; ``distances_left`` keeps
-    it aligned with ``indices_left`` (None for synthetic graphs).
+    it aligned with ``indices_left`` (None for synthetic graphs), and
+    ``owner_left`` holds the left point of each of its entries.
     """
 
     def __init__(
@@ -76,6 +77,7 @@ class MatchGraph:
         self.indptr_left = np.zeros(self.n_left + 1, dtype=np.int64)
         np.cumsum(np.bincount(ei, minlength=self.n_left), out=self.indptr_left[1:])
         self.indices_left = ej[order]
+        self.owner_left = ei[order]
         self.tags_left = np.asarray(edge_tag, dtype=np.int8)[order]
         self.distances_left = (
             None if edge_distance is None
@@ -89,8 +91,8 @@ class MatchGraph:
         for a in (
             self.left_vertex, self.left_slot, self.right_vertex,
             self.right_slot, self.indptr_left, self.indices_left,
-            self.tags_left, self.distances_left, self.indptr_right,
-            self.indices_right,
+            self.owner_left, self.tags_left, self.distances_left,
+            self.indptr_right, self.indices_right,
         ):
             if a is not None:
                 a.setflags(write=False)

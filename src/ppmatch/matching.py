@@ -52,7 +52,7 @@ from .errors import (
 
 INF_KEY = np.iinfo(np.int64).max
 
-_FIELD_BITS = 13
+_FIELD_BITS = 15
 _MAX_KERNEL_POINTS = (1 << _FIELD_BITS) - 3  # ranks + offset interiors must fit
 #: Most stages `run` accepts as an explicit max_stage: each stage, vacuous
 #: or not, keeps a report and a snapshot.
@@ -101,9 +101,8 @@ class Matching:
         """(left point, position in the graph's left CSR arrays) of each
         matched pair that is an edge, in left-point order."""
         g = self.g
-        owner = np.repeat(np.arange(g.n_left), np.diff(g.indptr_left))
-        e = np.flatnonzero(g.indices_left == self.matchL[owner])
-        return owner[e], e
+        e = np.flatnonzero(g.indices_left == self.matchL[g.owner_left])
+        return g.owner_left[e], e
 
     def assert_valid(self) -> None:
         """Raise ContractViolationError on the first matched left point
@@ -328,7 +327,7 @@ def shortest_chain_length(g: MatchGraph, m: Matching) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized sweep for stage 1
+# Stage-1 selection
 # ---------------------------------------------------------------------------
 
 
@@ -358,10 +357,21 @@ def _key(u, i, j, w):
     return np.where(e < INF_KEY, packed, INF_KEY)
 
 
-def _kernel_sweep_select(
-    g: MatchGraph, m: Matching, ranks: np.ndarray
-) -> list[Chain]:
-    """Selected chains for one stage-1 sweep, computed in O(edges).
+def _pack(u: int, i: int, j: int, w: int) -> int:
+    """`_key` of one path, on Python ints."""
+    if u > w:
+        u, i, j, w = w, j, i, u
+    if w == INF_KEY:
+        return INF_KEY
+    return (
+        (u << (3 * _FIELD_BITS)) | (w << (2 * _FIELD_BITS))
+        | ((i + 1) << _FIELD_BITS) | (j + 1)
+    )
+
+
+class _Stage1:
+    """The stage-1 selection of one run, with its per-point state kept
+    from one sweep to the next.
 
     In stage 1 the only chains are single edges between unmatched points
     and length-3 chains threading one matched pair.  For a fixed matched
@@ -369,56 +379,193 @@ def _kernel_sweep_select(
     neighbors on both sides, so per-point minima over the full chain set
     reduce to row minima over the adjacency, and the selection rule can
     be evaluated without materializing chains.  Both sides share one
-    CSR over the global point ids; entries a mask rules out may hold
-    keys of no chain.
-    """
-    n_left, n = g.n_left, g.n_points
-    ptr = np.concatenate(
-        (g.indptr_left, g.indptr_right[1:] + len(g.indices_left))
-    )
-    nbr = np.concatenate((g.indices_left + n_left, g.indices_right))
-    owner = np.repeat(np.arange(n), np.diff(ptr))
-    partner = np.concatenate(
-        (np.where(m.matchL >= 0, m.matchL + n_left, -1), m.matchR)
-    )
-    free = partner < 0
-    # ext[p]: the smallest rank among p's unmatched neighbors.
-    ext = _row_min(np.where(free[nbr], ranks[nbr], INF_KEY), ptr)
-    key1 = _key(ranks, -1, -1, ext)
-    # The chain ext[q]-q-p-ext[p] through each matched pair (p, q): the
-    # same key from both members.
-    key_pair = _key(ext[partner], ranks[partner], ranks, ext)
-    # The chain p-q-partner[q]-ext[partner[q]] through each matched
-    # neighbor q, minimized per row.
-    via = partner[nbr]
-    key3 = _row_min(
-        np.where(
-            via >= 0, _key(ranks[owner], ranks[nbr], ranks[via], ext[via]),
-            INF_KEY,
-        ),
-        ptr,
-    )
-    best = np.where(free, np.minimum(key1, key3), key_pair)
+    CSR over the global point ids, built once; entries a mask rules out
+    may hold keys of no chain.
 
-    rank_to_pid = np.empty(n, dtype=np.int64)
-    rank_to_pid[ranks] = np.arange(n, dtype=np.int64)
-    # A single edge is listed from its left end, a 3-chain from its left
-    # interior point; either is kept when it is every point's best.
-    p = np.flatnonzero((free & (key1 < INF_KEY) & (best == key1))[:n_left])
-    k1 = key1[p]
-    y = rank_to_pid[ext[p]]
-    one = best[y] == k1
-    a = np.flatnonzero((~free & (key_pair < INF_KEY))[:n_left])
-    k3 = key_pair[a]
-    b = partner[a]
-    x, z = rank_to_pid[ext[b]], rank_to_pid[ext[a]]
-    three = (best[x] == k3) & (best[z] == k3)
-    paths = (
-        np.column_stack((p, y))[one].tolist()
-        + np.column_stack((x, b, a, z))[three].tolist()
-    )
-    order = np.argsort(np.concatenate((k1[one], k3[three])))
-    return [Chain.canonical(paths[i], ranks) for i in order]
+    `select` returns the chains one sweep flips.  The first call is one
+    array pass over the whole graph.  Each later call assumes that the
+    caller flipped exactly the chains the previous call returned, and
+    recomputes the state only on the points those flips can reach; in
+    stage 1 a matched point never becomes free, so every other point's
+    inputs are unchanged.  When the flipped points carry many edges, the
+    array pass runs again instead.
+    """
+
+    #: The array pass reruns when _FALLBACK * sum(deg**2) over the
+    #: flipped points exceeds the CSR's entry count: the worklist touches
+    #: about deg**2 points per flipped point, at Python speed.
+    _FALLBACK = 8
+
+    def __init__(self, g: MatchGraph, m: Matching, ranks: np.ndarray):
+        n_left, n = g.n_left, g.n_points
+        self.n_left, self.m, self.ranks = n_left, m, ranks
+        self.ptr = np.concatenate(
+            (g.indptr_left, g.indptr_right[1:] + len(g.indices_left))
+        )
+        self.nbr = np.concatenate((g.indices_left + n_left, g.indices_right))
+        self.deg = np.diff(self.ptr)
+        self.owner = np.concatenate(
+            (g.owner_left, np.repeat(np.arange(n_left, n), self.deg[n_left:]))
+        )
+        self.rank_to_pid = np.empty(n, dtype=np.int64)
+        self.rank_to_pid[ranks] = np.arange(n, dtype=np.int64)
+        self._last: list[Chain] | None = None
+        # Per-point state (partner, ext, key1, key_pair, key3, best): as
+        # arrays right after an array pass, as lists once a worklist
+        # update has taken them over.
+        self._arrays: tuple[np.ndarray, ...] | None = None
+        self._lists: list[list[int]] | None = None
+        self._graph_lists = tuple(
+            a.tolist() for a in (self.ptr, self.nbr, ranks, self.rank_to_pid)
+        )
+
+    def select(self) -> list[Chain]:
+        """The chains the current matching's sweep flips, in key order."""
+        last = self._last
+        if last is None:
+            chains = self._array_pass()
+        else:
+            flipped = [p for c in last for p in c.points]
+            d = self.deg[flipped]
+            if self._FALLBACK * int(d @ d) > len(self.nbr):
+                chains = self._array_pass()
+            else:
+                chains = self._worklist(flipped)
+        self._last = chains
+        return chains
+
+    def _array_pass(self) -> list[Chain]:
+        """Every point's state and the selection, one array expression
+        per rule."""
+        m, ranks = self.m, self.ranks
+        ptr, nbr, owner = self.ptr, self.nbr, self.owner
+        n_left = self.n_left
+        partner = np.concatenate(
+            (np.where(m.matchL >= 0, m.matchL + n_left, -1), m.matchR)
+        )
+        free = partner < 0
+        # ext[p]: the smallest rank among p's unmatched neighbors.
+        ext = _row_min(np.where(free[nbr], ranks[nbr], INF_KEY), ptr)
+        key1 = _key(ranks, -1, -1, ext)
+        # The chain ext[q]-q-p-ext[p] through each matched pair (p, q): the
+        # same key from both members.
+        key_pair = _key(ext[partner], ranks[partner], ranks, ext)
+        # The chain p-q-partner[q]-ext[partner[q]] through each matched
+        # neighbor q, minimized per row.
+        via = partner[nbr]
+        key3 = _row_min(
+            np.where(
+                via >= 0, _key(ranks[owner], ranks[nbr], ranks[via], ext[via]),
+                INF_KEY,
+            ),
+            ptr,
+        )
+        best = np.where(free, np.minimum(key1, key3), key_pair)
+        self._arrays = (partner, ext, key1, key_pair, key3, best)
+
+        rank_to_pid = self.rank_to_pid
+        # A single edge is listed from its left end, a 3-chain from its left
+        # interior point; either is kept when it is every point's best.
+        p = np.flatnonzero((free & (key1 < INF_KEY) & (best == key1))[:n_left])
+        k1 = key1[p]
+        y = rank_to_pid[ext[p]]
+        one = best[y] == k1
+        a = np.flatnonzero((~free & (key_pair < INF_KEY))[:n_left])
+        k3 = key_pair[a]
+        b = partner[a]
+        x, z = rank_to_pid[ext[b]], rank_to_pid[ext[a]]
+        three = (best[x] == k3) & (best[z] == k3)
+        paths = (
+            np.column_stack((p, y))[one].tolist()
+            + np.column_stack((x, b, a, z))[three].tolist()
+        )
+        order = np.argsort(np.concatenate((k1[one], k3[three])))
+        return [Chain.canonical(paths[i], ranks) for i in order]
+
+    def _worklist(self, flipped: list[int]) -> list[Chain]:
+        """The state and the selection refreshed after flipping the points
+        `flipped`, over Python lists.
+
+        With E the flipped points that were free before the flip, N the
+        neighbors and P the partners: partner changes on the flipped
+        points; ext and key1 on N(E); key_pair on the flipped points,
+        N(E) and P(N(E)); key3 of a free point on N(flipped + P(N(E))).
+        D, the points whose state changed, is their union, and only a
+        chain listed from a left point of D + N(D) + P(N(D)) can read
+        any of it.
+        """
+        if self._arrays is not None:
+            self._lists = [a.tolist() for a in self._arrays]
+            self._arrays = None
+        partner, ext, key1, key_pair, key3, best = self._lists
+        ptr, nbr, rank, rank_to_pid = self._graph_lists
+        n_left = self.n_left
+        match_l, match_r = self.m.matchL, self.m.matchR
+
+        newly = [p for p in flipped if partner[p] < 0]
+        for p in flipped:
+            if p < n_left:
+                q = int(match_l[p])
+                partner[p] = q + n_left if q >= 0 else -1
+            else:
+                partner[p] = int(match_r[p - n_left])
+        near = set()
+        for p in newly:
+            near.update(nbr[ptr[p]:ptr[p + 1]])
+        for p in near:
+            ext[p] = min(
+                (rank[q] for q in nbr[ptr[p]:ptr[p + 1]] if partner[q] < 0),
+                default=INF_KEY,
+            )
+            key1[p] = _pack(rank[p], -1, -1, ext[p])
+        near_partners = {partner[p] for p in near if partner[p] >= 0}
+        changed = set(flipped) | near | near_partners
+        for p in changed:
+            q = partner[p]
+            if q >= 0:
+                key_pair[p] = _pack(ext[q], rank[q], rank[p], ext[p])
+        rows = set()
+        for q in set(flipped) | near_partners:
+            rows.update(nbr[ptr[q]:ptr[q + 1]])
+        for p in rows:
+            if partner[p] < 0:
+                key3[p] = min(
+                    (_pack(rank[p], rank[q], rank[v], ext[v])
+                     for q in nbr[ptr[p]:ptr[p + 1]]
+                     if (v := partner[q]) >= 0),
+                    default=INF_KEY,
+                )
+                changed.add(p)
+        for p in changed:
+            best[p] = (
+                key_pair[p] if partner[p] >= 0 else min(key1[p], key3[p])
+            )
+
+        listed = set(changed)
+        for p in changed:
+            for q in nbr[ptr[p]:ptr[p + 1]]:
+                listed.add(q)
+                if partner[q] >= 0:
+                    listed.add(partner[q])
+        found = []
+        for p in listed:
+            if p >= n_left:
+                continue
+            b = partner[p]
+            if b < 0:
+                k = key1[p]
+                if k < INF_KEY and best[p] == k:
+                    y = rank_to_pid[ext[p]]
+                    if best[y] == k:
+                        found.append((k, [p, y]))
+            else:
+                k = key_pair[p]
+                if k < INF_KEY:
+                    x, z = rank_to_pid[ext[b]], rank_to_pid[ext[p]]
+                    if best[x] == k and best[z] == k:
+                        found.append((k, [x, b, p, z]))
+        found.sort()
+        return [Chain.canonical(path, self.ranks) for _, path in found]
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +602,13 @@ def run(
     Stage n exhausts the chains shorter than 4n by minimal-chain sweeps:
     each sweep flips the selected chains, checks the matching and that
     no matched point became unmatched, and renews the certificate s,
-    which carries over to the next stage.  A stage with s >= 4n (or no
-    chain at all) sweeps nothing and keeps the counts before it, with
-    zero wall time.  The third return value holds a read-only copy of
-    matchL after each stage, for diagnostic replay; a stage without a
-    sweep shares the copy before it.  An explicit max_stage above
-    MAX_STAGE_CAP raises ResourceError.
+    which carries over to the next stage.  On at most _MAX_KERNEL_POINTS
+    points, stage 1 selects through one `_Stage1`, kept across its
+    sweeps.  A stage with s >= 4n (or no chain at all) sweeps nothing
+    and keeps the counts before it, with zero wall time.  The third
+    return value holds a read-only copy of matchL after each stage, for
+    diagnostic replay; a stage without a sweep shares the copy before
+    it.  An explicit max_stage above MAX_STAGE_CAP raises ResourceError.
     """
     if max_stage is None:
         max_stage = max(1, math.ceil(g.n_points / 4) + 1)
@@ -479,11 +627,14 @@ def run(
     snap.flags.writeable = False
     for n in range(1, max_stage + 1):
         t0 = time.perf_counter()
-        use_kernel = n == 1 and g.n_points <= _MAX_KERNEL_POINTS
+        kernel = (
+            _Stage1(g, m, ranks)
+            if n == 1 and g.n_points <= _MAX_KERNEL_POINTS else None
+        )
         sweeps = flips = 0
         while s is not None and s < 4 * n:
-            if use_kernel:
-                selected = _kernel_sweep_select(g, m, ranks)
+            if kernel is not None:
+                selected = kernel.select()
             else:
                 chains = find_chains(
                     g, m, 4 * n, ranks,

@@ -76,6 +76,14 @@ RUNS = {
         "--set", "graph.depth=6", "--set", "graph.core_margin=3",
         "--set", "radii.r0=2",
     ],
+    # Disjoint short cycles are where clause 2 settles vertices; this run
+    # also takes stage 1 through several sweeps.
+    "match-cycles": [
+        "match", "--seed", "12", "--set", "graph.family=explicit",
+        "--set", "graph.adjacency_file=cycles60x5.adj",
+        "--set", "graph.core_margin=2", "--set", "radii.r0=2",
+        "--set", "process_left.kind=poisson",
+    ],
 }
 
 

@@ -2,8 +2,8 @@
 
 The little deterministic instances pin down the selection semantics the
 statistics depend on; the randomized blocks cross-check the staged
-engine against Hopcroft-Karp and the fast stage-1 kernel against the
-generic sweep.
+engine against Hopcroft-Karp and the fast stage-1 selection, fresh and
+kept across sweeps, against the generic sweep.
 """
 
 import numpy as np
@@ -351,6 +351,41 @@ def seeded_instance(seed, max_left, max_right, edge_prob):
     return g, seeded_ranks(g, seed)
 
 
+def colocated_instance():
+    """Six points per side at each of four vertices, joined within a
+    vertex and between neighbouring vertices: every point has degree 12
+    or 18, so after the first sweep stage 1 reruns its array pass."""
+    per, k = 6, 4
+    ids = np.repeat(np.arange(k), per)
+    edges = [
+        (i, j)
+        for i in range(per * k)
+        for j in range(per * k)
+        if abs(int(ids[i]) - int(ids[j])) <= 1
+    ]
+    g = bipartite.graph_from_point_edges(ids, ids, edges)
+    return g, seeded_ranks(g, 3)
+
+
+def line_instance(n, seed, reach=1.5):
+    """n points per side at uniform positions on [0, n), a left and a
+    right point joined within `reach`; random ranks."""
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0, n, n))
+    y = np.sort(rng.uniform(0, n, n))
+    lo = np.searchsorted(y, x - reach)
+    hi = np.searchsorted(y, x + reach, side="right")
+    edges = [(i, j) for i in range(n) for j in range(lo[i], hi[i])]
+    ids = np.arange(n)
+    g = bipartite.graph_from_point_edges(ids, ids, edges)
+    return g, rng.permutation(2 * n)
+
+
+def generic_selection(g, m, ranks):
+    chains = matching.find_chains(g, m, 4, ranks)
+    return [c.points for c in matching.select_minimal(chains, ranks)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.builds(
     seeded_instance, st.integers(0, 10**9), st.integers(1, 36),
@@ -358,19 +393,105 @@ def seeded_instance(seed, max_left, max_right, edge_prob):
 ))
 @example(long_path(40))
 def test_kernel_sweep_matches_generic_selection(instance):
-    # Sweep until nothing is selected; at each state the kernel and the
-    # generic selection must select the same chains.
+    # Sweep until nothing is selected; at each state a fresh stage-1
+    # object (one array pass) and the generic selection must select the
+    # same chains.
     g, ranks = instance
     m = fresh(g)
     while True:
-        kernel = matching._kernel_sweep_select(g, m, ranks)
-        chains = matching.find_chains(g, m, 4, ranks)
-        generic = matching.select_minimal(chains, ranks)
-        assert [c.points for c in kernel] == [c.points for c in generic]
+        kernel = matching._Stage1(g, m, ranks).select()
+        assert [c.points for c in kernel] == generic_selection(g, m, ranks)
         if not kernel:
             break
         for c in kernel:
             matching.flip(m, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.builds(
+        seeded_instance, st.integers(0, 10**9), st.integers(1, 36),
+        st.integers(1, 36), st.floats(0.02, 0.7),
+    ),
+    st.builds(
+        line_instance, st.integers(2, 60), st.integers(0, 10**9),
+        st.floats(0.5, 4.0),
+    ),
+), st.booleans())
+@example(long_path(40), False)
+@example(colocated_instance(), False)
+@example(line_instance(6, 5, 1.5), True)
+def test_kept_stage1_state_matches_fresh_and_generic(instance, worklist_only):
+    # One stage-1 object kept across the sweeps of a stage, as `run`
+    # keeps it, must select at every sweep what a fresh object and the
+    # generic selection select.  The fallback cutoff is a speed choice,
+    # so with it at 0 every sweep after the first takes the worklist.
+    g, ranks = instance
+    m = fresh(g)
+    kept = matching._Stage1(g, m, ranks)
+    if worklist_only:
+        kept._FALLBACK = 0
+    while True:
+        selected = kept.select()
+        chains = [c.points for c in selected]
+        assert chains == [
+            c.points for c in matching._Stage1(g, m, ranks).select()
+        ]
+        assert chains == generic_selection(g, m, ranks)
+        if not chains:
+            break
+        for c in selected:
+            matching.flip(m, c)
+
+
+def test_run_keeps_one_stage1_state_and_takes_both_updates(monkeypatch):
+    # `run` builds one stage-1 object per run.  On the long path every
+    # sweep after the first flips one chain of low degree and takes the
+    # worklist; on the co-located instance the flipped points carry many
+    # edges and the array pass runs again.
+    calls = {"init": 0, "array": 0, "worklist": 0}
+
+    class Counted(matching._Stage1):
+        def __init__(self, *args):
+            calls["init"] += 1
+            super().__init__(*args)
+
+        def _array_pass(self):
+            calls["array"] += 1
+            return super()._array_pass()
+
+        def _worklist(self, flipped):
+            calls["worklist"] += 1
+            return super()._worklist(flipped)
+
+    monkeypatch.setattr(matching, "_Stage1", Counted)
+    g, ranks = long_path(40)
+    reports = matching.run(g, ranks)[1]
+    assert calls == {"init": 1, "array": 1, "worklist": reports[0].sweeps - 1}
+    assert reports[0].sweeps == 39
+
+    calls.update(init=0, array=0, worklist=0)
+    g, ranks = colocated_instance()
+    reports = matching.run(g, ranks)[1]
+    assert calls["init"] == 1
+    assert calls["array"] >= 2
+    assert calls["array"] + calls["worklist"] == reports[0].sweeps
+
+
+def test_stage1_kernel_covers_nine_thousand_points(monkeypatch):
+    # Stage 1 selects without find_chains on up to _MAX_KERNEL_POINTS
+    # points, and its first sweep selects what the generic path does.
+    g, ranks = line_instance(4500, 19)
+    assert g.n_points == 9000 <= matching._MAX_KERNEL_POINTS
+    first = matching._Stage1(g, fresh(g), ranks).select()
+    assert [c.points for c in first] == generic_selection(g, fresh(g), ranks)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("stage 1 called find_chains")
+
+    monkeypatch.setattr(matching, "find_chains", no_search)
+    m = matching.run(g, ranks, max_stage=1)[0]
+    m.assert_valid()
 
 
 def test_chain_longer_than_the_recursion_limit():
