@@ -18,13 +18,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError
 from .graphs import ROW_BLOCK, GraphWindow
 from .processes import PointMultiset
 from .radii import RadiusField
-
-LEFT = 0
-RIGHT = 1
 
 TAG_FROM_LEFT = 1
 TAG_FROM_RIGHT = 2
@@ -205,25 +201,6 @@ def _slots_from_vertices(vertex: np.ndarray) -> np.ndarray:
         seen[int(v)] = seen.get(int(v), 0) + 1
         out[p] = seen[int(v)]
     return out
-
-
-def neighborhood(g: MatchGraph, pids: Iterable[int]) -> np.ndarray:
-    """Union of undirected adjacencies of same-side points, as the
-    opposite side's local ids (sorted)."""
-    ids = sorted(set(int(p) for p in pids))
-    if not ids:
-        return np.empty(0, dtype=np.int64)
-    sides = {LEFT if p < g.n_left else RIGHT for p in ids}
-    if len(sides) > 1:
-        raise ContractViolationError("neighborhood input mixes sides")
-    out: set[int] = set()
-    if sides == {LEFT}:
-        for i in ids:
-            out.update(int(j) for j in g.right_neighbors(i))
-    else:
-        for p in ids:
-            out.update(int(i) for i in g.left_neighbors(p - g.n_left))
-    return np.asarray(sorted(out), dtype=np.int64)
 
 
 def dump_graph(g: MatchGraph) -> list[str]:

@@ -28,7 +28,7 @@ from . import bipartite, matching as matching_mod, order as order_mod
 from . import processes, radii
 from .errors import CensoringError, ConfigurationError, ContractViolationError
 from .graphs import (
-    GapComponents, GraphWindow, ball_size_infinite, build_window,
+    ROW_BLOCK, GapComponents, GraphWindow, ball_size_infinite, build_window,
     spectral_radius,
 )
 from .seeds import derive_seed, hash_u64, uniform_stream
@@ -267,26 +267,40 @@ def curve_from_rows(
     else:
         se = np.zeros(len(radii_list))
     if window.family.kind == "explicit":
-        ones = np.ones(window.n, dtype=np.int64)
-        b = [
-            float(np.mean(window.ball_counts(ones, r)[window.core]))
-            for r in radii_list
-        ]
+        # Mean core ball sizes from truncated BFS rows, ROW_BLOCK sources
+        # at a time, so memory stays at one block of rows at any radius;
+        # the integer counts are divided once.
+        cut = max(radii_list) + 1
+        counts = np.zeros(cut + 1, dtype=np.int64)
+        core = window.core
+        for s in range(0, len(core), ROW_BLOCK):
+            dist = window.dist_row(core[s : s + ROW_BLOCK], cut - 1)
+            counts += np.bincount(
+                np.minimum(dist, cut).ravel(), minlength=cut + 1
+            )
+        within = np.cumsum(counts).tolist()
+        b = [within[r] / len(core) for r in radii_list]
     else:
         b = [float(ball_size_infinite(window.family, r)) for r in radii_list]
-    pos = est > 0
-    if pos.sum() >= 2:
-        slope = float(np.polyfit(np.asarray(b)[pos], np.log(est[pos]), 1)[0])
-    else:
-        slope = float("nan")
     return TailCurve(
         radii=tuple(radii_list),
         ball_sizes=tuple(b),
         estimates=tuple(float(x) for x in est),
         stderrs=tuple(float(x) for x in se),
-        slope=slope,
+        slope=_log_slope(b, est),
         n_trials=len(rows),
     )
+
+
+def _log_slope(x, y) -> float:
+    """Least-squares slope of log y against x over the points with
+    y > 0; nan with fewer than two such points."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    pos = y > 0
+    if pos.sum() < 2:
+        return float("nan")
+    return float(np.polyfit(x[pos], np.log(y[pos]), 1)[0])
 
 
 def tail_csv(curve: TailCurve) -> list[str]:
@@ -349,34 +363,19 @@ def lemma_report_csv(rep: LemmaReport) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def hole_indicator_average(
-    pm: processes.PointMultiset,
-    window: GraphWindow,
-    r: int,
-    base: np.ndarray,
-) -> float:
-    """Fraction of the base vertices whose radius-r ball holds no point
-    of pm, in this one realization."""
-    ids = np.nonzero(base)[0]
-    if len(ids) == 0:
-        raise CensoringError("empty base vertex set")
-    near_point = window.dist_from(np.nonzero(pm.counts)[0], r) <= r
-    holes = int(np.count_nonzero(~near_point[ids]))
-    return holes / len(ids)
-
-
 def _dominance_trial(res: PipelineResult, radii_list: list[int]):
     """(tails, holes) at each radius of radii_list over the censor-free
-    core vertices of the left field, or None when there are none."""
+    core vertices of the left field, or None when there are none.  The
+    hole frequency at r is the share of those vertices whose radius-r
+    ball holds no right point: one BFS cut at the largest radius gives
+    every distance below the cut exactly."""
     tails, n_base = tail_row(res, radii_list, unmatched_as_infinite=True)
     if not n_base:
         return None
     w = res.window
     base = w.ball_ok(w.core_margin) & ~res.field_left.censored
-    holes = [
-        hole_indicator_average(res.right, w, r, base)
-        for r in radii_list
-    ]
+    near = w.dist_from(res.right.support, max(radii_list))[base]
+    holes = [int(np.count_nonzero(near > r)) / n_base for r in radii_list]
     return tails, holes
 
 
@@ -452,7 +451,6 @@ def verify_chebyshev(
     lhs = []
     rhs = []
     p_hats = []
-    p_primes = []
     for t in range(trials):
         pm = processes.sample(
             processes.ProcessSpec.poisson(), window, derive_seed(seed, "cheb", t)
@@ -466,12 +464,11 @@ def verify_chebyshev(
         lhs.append(p_prime)
         rhs.append(bound)
         p_hats.append(p_hat)
-        p_primes.append(p_prime)
     return _make_report(
         "chebyshev_density_boost", lhs, rhs,
         extras={
             "p_hat_mean": float(np.mean(p_hats)),
-            "p_prime_mean": float(np.mean(p_primes)),
+            "p_prime_mean": float(np.mean(lhs)),
             "bound_mean": float(np.mean(rhs)),
             "rho_squared": rho2,
         },
@@ -483,9 +480,10 @@ def _hall_trial(res: PipelineResult) -> tuple[float, float]:
     base = int(res.live_vertices.sum())
     if base == 0:
         raise CensoringError("no censor-free vertices")
-    n_left = res.graph.n_left
-    p_a = n_left / base
-    p_n = len(bipartite.neighborhood(res.graph, range(n_left))) / base
+    g = res.graph
+    # A is every left point, so N(A) is every right point with an edge.
+    p_a = g.n_left / base
+    p_n = int(np.count_nonzero(np.diff(g.indptr_right))) / base
     return p_n, min(2.0 * p_a, 0.8)
 
 
@@ -529,9 +527,8 @@ def alternating_even_reachable(
     matching edge, so they stay on the origin's side every two steps.
     """
     matchR = np.full(g.n_right, -1, dtype=np.int64)
-    for i, j in enumerate(matchL):
-        if j >= 0:
-            matchR[j] = i
+    matched = np.flatnonzero(matchL >= 0)
+    matchR[matchL[matched]] = matched
 
     def reach(match_own, match_other, neighbors) -> np.ndarray:
         """Even-reachable points of the side that match_own indexes."""
@@ -573,14 +570,13 @@ def verify_indep_set(res: PipelineResult) -> LemmaReport:
     for idx, snap in enumerate(res.snapshots):
         n = idx + 1
         in_l, in_r = alternating_even_reachable(g, snap, 2 * (n - 1))
-        for i in np.nonzero(in_l)[0]:
-            row = g.right_neighbors(int(i))
-            bad = row[in_r[row]]
-            if len(bad):
-                raise ContractViolationError(
-                    f"stage {n}: unflipped short chain between left {int(i)} "
-                    f"and right {int(bad[0])}"
-                )
+        bad = np.flatnonzero(in_l[g.owner_left] & in_r[g.indices_left])
+        if len(bad):
+            e = bad[0]
+            raise ContractViolationError(
+                f"stage {n}: unflipped short chain between left "
+                f"{int(g.owner_left[e])} and right {int(g.indices_left[e])}"
+            )
         p_l = in_l.sum() / base if base else 0.0
         p_r = in_r.sum() / base if base else 0.0
         lhs.append(1.0 / 3.0)
@@ -652,18 +648,13 @@ def verify_discrepancy(
     for s in np.unique(sizes_arr):
         sel = sizes_arr == s
         freq_by_size[int(s)] = float(viol[sel].mean())
-    pos = [(s, f) for s, f in freq_by_size.items() if f > 0]
-    if len(pos) >= 2:
-        xs = np.array([s for s, _ in pos], dtype=float)
-        ys = np.log(np.array([f for _, f in pos]))
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        slope = float("nan")
     return _make_report(
         "count_discrepancy", lhs, rhs,
         extras={
             "violation_rate": float(viol.mean()),
-            "log_freq_slope": slope,
+            "log_freq_slope": _log_slope(
+                list(freq_by_size), list(freq_by_size.values())
+            ),
             "sizes": freq_by_size,
         },
     )
@@ -908,17 +899,11 @@ def pn_decay(reports: list[matching_mod.StageReport]) -> PnDecay:
         for a, b in zip(seq, seq[1:]):
             if b > a + 1e-12:
                 raise ContractViolationError("unmatched density increased")
-    pos = [(n + 1, p) for n, p in enumerate(p_l) if p > 0]
-    if len(pos) >= 2:
-        xs = np.array([n for n, _ in pos], dtype=float)
-        ys = np.log(np.array([p for _, p in pos]))
-        fitted = float(math.exp(np.polyfit(xs, ys, 1)[0]))
-    else:
-        fitted = 0.0
+    slope = _log_slope(range(1, len(p_l) + 1), p_l)
     return PnDecay(
         stages=tuple(r.stage for r in reports),
         p_left=tuple(p_l),
         p_right=tuple(p_r),
-        fitted_ratio=fitted,
+        fitted_ratio=0.0 if math.isnan(slope) else math.exp(slope),
         halving_reference=tuple(2.0 ** (-r.stage) for r in reports),
     )

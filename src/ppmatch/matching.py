@@ -52,7 +52,7 @@ from .errors import (
 
 INF_KEY = np.iinfo(np.int64).max
 
-_FIELD_BITS = 15
+_FIELD_BITS = 21
 _MAX_KERNEL_POINTS = (1 << _FIELD_BITS) - 3  # ranks + offset interiors must fit
 #: Most stages `run` accepts as an explicit max_stage: each stage, vacuous
 #: or not, keeps a report and a snapshot.
@@ -344,15 +344,15 @@ def _row_min(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 def _key(u, i, j, w):
     """Packed endpoint-first key of the path u-i-j-w from its point
     ranks (i = j = -1 for the single edge u-w): the endpoint ranks,
-    smaller first, then the interior ranks plus one, read from the
-    smaller endpoint.  INF_KEY where an endpoint rank is INF_KEY."""
-    fwd = u < w
+    smaller first, then the rank plus one of the interior point next to
+    the smaller endpoint.  The other interior point is its partner, so
+    it never decides between two chains.  INF_KEY where an endpoint rank
+    is INF_KEY."""
     e = np.maximum(u, w)
     packed = (
-        (np.minimum(u, w) << (3 * _FIELD_BITS))
-        | (e << (2 * _FIELD_BITS))
-        | ((np.where(fwd, i, j) + 1) << _FIELD_BITS)
-        | (np.where(fwd, j, i) + 1)
+        (np.minimum(u, w) << (2 * _FIELD_BITS))
+        | (e << _FIELD_BITS)
+        | (np.where(u < w, i, j) + 1)
     )
     return np.where(e < INF_KEY, packed, INF_KEY)
 
@@ -360,13 +360,10 @@ def _key(u, i, j, w):
 def _pack(u: int, i: int, j: int, w: int) -> int:
     """`_key` of one path, on Python ints."""
     if u > w:
-        u, i, j, w = w, j, i, u
+        u, i, w = w, j, u
     if w == INF_KEY:
         return INF_KEY
-    return (
-        (u << (3 * _FIELD_BITS)) | (w << (2 * _FIELD_BITS))
-        | ((i + 1) << _FIELD_BITS) | (j + 1)
-    )
+    return (u << (2 * _FIELD_BITS)) | (w << _FIELD_BITS) | (i + 1)
 
 
 class _Stage1:

@@ -80,7 +80,7 @@ def test_censored_points_are_dropped_and_counted(tree3_d8):
     assert g.left_vertex.tolist() == np.nonzero(~deep)[0].tolist()
 
 
-def test_graph_from_point_edges_and_neighborhood():
+def test_graph_from_point_edges():
     g = bipartite.graph_from_point_edges(
         [0, 0, 5], [1, 2], [(0, 0), (1, 0), (2, 1)]
     )
@@ -88,12 +88,6 @@ def test_graph_from_point_edges_and_neighborhood():
     assert list(g.left_slot) == [1, 2, 1]
     assert list(g.right_neighbors(0)) == [0]
     assert list(g.left_neighbors(0)) == [0, 1]
-    np.testing.assert_array_equal(
-        bipartite.neighborhood(g, [0, 1]), np.array([0])
-    )
-    np.testing.assert_array_equal(
-        bipartite.neighborhood(g, []), np.empty(0, dtype=np.int64)
-    )
 
 
 def test_dump_graph_lines(tree3_d8):

@@ -10,9 +10,11 @@ from ppmatch.errors import (
     ConfigurationError,
     ContractViolationError,
 )
-from ppmatch.graphs import GraphFamily, build_window
+from ppmatch.graphs import GraphFamily, GraphWindow, build_window
 from ppmatch.matching import StageReport
 from ppmatch.seeds import derive_seed
+
+from conftest import bfs_oracle
 
 
 DEG = processes.ProcessSpec.degenerate()
@@ -217,6 +219,33 @@ def test_tail_ball_sizes_averaged_in_explicit_window():
     assert curve.estimates == (1.0, 0.5, 0.25)
 
 
+def test_tail_ball_sizes_from_bfs_rows_on_a_torus(monkeypatch):
+    # Explicit ball sizes come from truncated BFS rows, not from the
+    # per-radius relations of ball_counts, up to the largest radius the
+    # window allows.
+    side = 12
+    adj = [
+        [((x + dx) % side) * side + (y + dy) % side
+         for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+        for x in range(side) for y in range(side)
+    ]
+    w = build_window(GraphFamily.explicit(adj), 0, 0)
+
+    def no_relations(*args, **kwargs):
+        raise AssertionError("curve_from_rows called ball_counts")
+
+    monkeypatch.setattr(GraphWindow, "ball_counts", no_relations)
+    radii = [0, 1, 5, w.n - 1]
+    vals = np.array([1.0, 0.5, 0.25, 0.0])
+    curve = experiments.curve_from_rows([(vals, w.n)], w, radii)
+    dist = bfs_oracle(adj)
+    assert curve.ball_sizes == tuple(
+        sum(d is not None and d <= r for row in dist for d in row) / w.n
+        for r in radii
+    )
+    assert curve.ball_sizes[-1] == w.n
+
+
 def test_unmatched_count_at_every_radius(tree3_d5):
     # Degenerate left against an empty-ish right: force unmatched left
     # points by matching against a thinned process; with the flag their
@@ -287,14 +316,6 @@ def test_dominance_skip_accounting():
     assert rep.n_trials == 2  # one usable trial x 2 radii
     with pytest.raises(CensoringError):
         experiments.tail_hole_dominance(w, POI, cfg, [0, 1], 3, 2)
-
-
-def test_hole_indicator_average_empty_base(tree3_d5):
-    pm = processes.sample(POI, tree3_d5, 5)
-    with pytest.raises(CensoringError):
-        experiments.hole_indicator_average(
-            pm, tree3_d5, 1, np.zeros(tree3_d5.n, dtype=bool)
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -480,18 +480,21 @@ def test_run_keeps_one_stage1_state_and_takes_both_updates(monkeypatch):
 
 def test_stage1_kernel_covers_nine_thousand_points(monkeypatch):
     # Stage 1 selects without find_chains on up to _MAX_KERNEL_POINTS
-    # points, and its first sweep selects what the generic path does.
-    g, ranks = line_instance(4500, 19)
-    assert g.n_points == 9000 <= matching._MAX_KERNEL_POINTS
-    first = matching._Stage1(g, fresh(g), ranks).select()
-    assert [c.points for c in first] == generic_selection(g, fresh(g), ranks)
-
+    # points, and its first sweep selects what the generic path does;
+    # at 35,000 points the ranks need more than 15 bits.
     def no_search(*args, **kwargs):
         raise AssertionError("stage 1 called find_chains")
 
-    monkeypatch.setattr(matching, "find_chains", no_search)
-    m = matching.run(g, ranks, max_stage=1)[0]
-    m.assert_valid()
+    for per_side in (4500, 17_500):
+        g, ranks = line_instance(per_side, 19)
+        assert g.n_points == 2 * per_side <= matching._MAX_KERNEL_POINTS
+        first = matching._Stage1(g, fresh(g), ranks).select()
+        assert [c.points for c in first] == generic_selection(
+            g, fresh(g), ranks
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(matching, "find_chains", no_search)
+            matching.run(g, ranks, max_stage=1)[0].assert_valid()
 
 
 def test_chain_longer_than_the_recursion_limit():
