@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import ROW_BLOCK, GraphWindow
+from .graphs import GraphWindow
 from .processes import PointMultiset
 from .radii import RadiusField
 
@@ -126,8 +126,6 @@ def build_match_graph(
     """
     keep_l = ~field_left.censored
     keep_r = ~field_right.censored
-    occ_l = np.nonzero((left.counts > 0) & keep_l)[0]
-    occ_r = np.nonzero((right.counts > 0) & keep_r)[0]
     censor = CensorReport(
         int(left.counts[~keep_l].sum()), int(right.counts[~keep_r].sum())
     )
@@ -138,26 +136,27 @@ def build_match_graph(
     left_vertex, left_slot = left.point_vertex[kept_l], left.point_slot[kept_l]
     right_vertex, right_slot = right.point_vertex[kept_r], right.point_slot[kept_r]
 
-    # Point count at each occupied vertex, and the id of its first point.
-    count_l, count_r = left.counts[occ_l], right.counts[occ_r]
+    # Kept point count at each vertex, and the id of its first point.
+    count_l = np.where(keep_l, left.counts, 0)
+    count_r = np.where(keep_r, right.counts, 0)
     start_l = np.cumsum(count_l) - count_l
     start_r = np.cumsum(count_r) - count_r
-
-    r_left = field_left.values[occ_l]
-    r_right = field_right.values[occ_r]
-    # No edge is longer than the largest radius on either side.
+    # The radius at each vertex with kept points, -1 (reaching nothing)
+    # elsewhere; no edge is longer than the largest.
+    r_left = np.where(count_l > 0, field_left.values, -1)
+    r_right = np.where(count_r > 0, field_right.values, -1)
     limit = int(max(r_left.max(initial=0), r_right.max(initial=0)))
-    # Per block: (index into occ_l, index into occ_r, tag, distance).
-    empty = np.empty(0, dtype=np.int64)
-    blocks = [(empty, empty, empty, empty)]
-    for s in range(0, len(occ_l), ROW_BLOCK):
-        rows = window.dist_row(occ_l[s : s + ROW_BLOCK], limit)[:, occ_r]
-        reach_l = rows <= r_left[s : s + ROW_BLOCK, None]
-        reach_r = rows <= r_right
-        a, b = np.nonzero(reach_l | reach_r)
-        tag = TAG_FROM_LEFT * reach_l[a, b] + TAG_FROM_RIGHT * reach_r[a, b]
-        blocks.append((a + s, b, tag, rows[a, b]))
-    a, b, tag, dist = (np.concatenate(col) for col in zip(*blocks))
+
+    # Vertex pairs (a, b) within the limit, b holding kept right points,
+    # that either radius reaches.
+    occ_l = np.nonzero(count_l)[0]
+    k, b, dist = window.pairs_within(occ_l, limit)
+    a = occ_l[k]
+    reach_l = dist <= r_left[a]
+    reach_r = dist <= r_right[b]
+    edge = (reach_l & (count_r[b] > 0)) | reach_r
+    a, b, dist = a[edge], b[edge], dist[edge]
+    tag = TAG_FROM_LEFT * reach_l[edge] + TAG_FROM_RIGHT * reach_r[edge]
 
     # Each vertex pair (a, b) stands for every pair of their points.
     pair, i = _expand(start_l[a], count_l[a])

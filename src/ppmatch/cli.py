@@ -15,6 +15,7 @@ import argparse
 import configparser
 import functools
 import hashlib
+import importlib.metadata
 import json
 import sys
 import time
@@ -337,8 +338,6 @@ def _write_json(cfg: RunConfig, name: str, payload: dict) -> Path:
 
 
 def _write_manifest(cfg: RunConfig, command: str, t0: float) -> None:
-    import scipy
-
     lines = [
         f"command: {command}",
         f"config_hash: {cfg.config_hash}",
@@ -347,7 +346,7 @@ def _write_manifest(cfg: RunConfig, command: str, t0: float) -> None:
         f"ppmatch: {__version__}",
         f"python: {sys.version.split()[0]}",
         f"numpy: {np.__version__}",
-        f"scipy: {scipy.__version__}",
+        f"scipy: {importlib.metadata.version('scipy')}",
         f"wall_s: {time.perf_counter() - t0:.3f}",
     ]
     (cfg.out / "manifest.txt").write_text("\n".join(lines) + "\n")

@@ -28,7 +28,7 @@ from . import bipartite, matching as matching_mod, order as order_mod
 from . import processes, radii
 from .errors import CensoringError, ConfigurationError, ContractViolationError
 from .graphs import (
-    ROW_BLOCK, GapComponents, GraphWindow, ball_size_infinite, build_window,
+    GapComponents, GraphWindow, ball_size_infinite, build_window,
     spectral_radius,
 )
 from .seeds import derive_seed, hash_u64, uniform_stream
@@ -267,17 +267,15 @@ def curve_from_rows(
     else:
         se = np.zeros(len(radii_list))
     if window.family.kind == "explicit":
-        # Mean core ball sizes from truncated BFS rows, ROW_BLOCK sources
-        # at a time, so memory stays at one block of rows at any radius;
-        # the integer counts are divided once.
-        cut = max(radii_list) + 1
-        counts = np.zeros(cut + 1, dtype=np.int64)
+        # Mean core ball sizes from each core vertex's pairs within the
+        # largest radius, one vertex at a time (the whole core's pairs
+        # grow as core size times ball size); the counts are divided once.
+        limit = max(radii_list)
         core = window.core
-        for s in range(0, len(core), ROW_BLOCK):
-            dist = window.dist_row(core[s : s + ROW_BLOCK], cut - 1)
-            counts += np.bincount(
-                np.minimum(dist, cut).ravel(), minlength=cut + 1
-            )
+        counts = sum(
+            np.bincount(window.pairs_within([v], limit)[2], minlength=limit + 1)
+            for v in core
+        )
         within = np.cumsum(counts).tolist()
         b = [within[r] / len(core) for r in radii_list]
     else:
@@ -475,11 +473,12 @@ def verify_chebyshev(
     )
 
 
-def _hall_trial(res: PipelineResult) -> tuple[float, float]:
-    """(p(N(A)), min(2 p(A), 4/5)) in one realization."""
+def _hall_trial(res: PipelineResult) -> tuple[float, float] | None:
+    """(p(N(A)), min(2 p(A), 4/5)) in one realization, or None when no
+    vertex is censor-free."""
     base = int(res.live_vertices.sum())
     if base == 0:
-        raise CensoringError("no censor-free vertices")
+        return None
     g = res.graph
     # A is every left point, so N(A) is every right point with an edge.
     p_a = g.n_left / base
@@ -507,9 +506,16 @@ def verify_boosted_hall(
         window, spec_left, spec_right, cfg, trials, seed, "hall",
         reduce=_hall_trial,
     )
-    lhs = [p_n for p_n, _ in runs]
-    rhs = [bound for _, bound in runs]
-    return _make_report("boosted_hall", lhs, rhs, extras={"trials": trials})
+    # Densities per censor-free vertex are undefined on a fully censored
+    # trial; skip it but say so.
+    kept = [run for run in runs if run is not None]
+    if not kept:
+        raise CensoringError("no censor-free vertices in any trial")
+    lhs, rhs = zip(*kept)
+    return _make_report(
+        "boosted_hall", lhs, rhs,
+        extras={"trials": trials, "skipped_trials": trials - len(kept)},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +630,7 @@ def verify_discrepancy(
     core_ids = window.core
     if len(core_ids) == 0:
         raise ConfigurationError("window has no core")
-    lhs = []
-    rhs = []
-    sizes = []
+    lhs, rhs, sizes = [], [], []
     for t in range(trials):
         ts = derive_seed(seed, "disc", t)
         pm_l = processes.sample(spec_left, window, derive_seed(ts, "l"))
@@ -634,20 +638,17 @@ def verify_discrepancy(
         start = int(core_ids[hash_u64(ts, "start") % len(core_ids)])
         target = 1 + int(hash_u64(ts, "size") % max_size)
         u_set = _grow_rconnected(window, start, target, 1, ts)
-        mask = np.zeros(window.n, dtype=bool)
-        mask[u_set] = True
         grown = window.dist_from(u_set, r) <= r
-        own = int(pm_l.counts[mask].sum())
+        own = int(pm_l.counts[u_set].sum())
         other = int(pm_r.counts[grown].sum())
         lhs.append(other)
         rhs.append(r * own)
         sizes.append(int(grown.sum()))
     sizes_arr = np.asarray(sizes)
     viol = np.asarray(lhs) < np.asarray(rhs)
-    freq_by_size = {}
-    for s in np.unique(sizes_arr):
-        sel = sizes_arr == s
-        freq_by_size[int(s)] = float(viol[sel].mean())
+    freq_by_size = {
+        int(s): float(viol[sizes_arr == s].mean()) for s in np.unique(sizes_arr)
+    }
     return _make_report(
         "count_discrepancy", lhs, rhs,
         extras={
@@ -845,8 +846,8 @@ def sample_rconnected_family(
         sets.append(members)
         union.update(members)
     # The farthest pair, the first in row-major order on a tie.
-    pool = np.array(sorted(union))
-    dist = window.dist_row(pool)[:, pool]
+    pool = sorted(union)
+    dist = np.array([window.dist_row(v)[pool] for v in pool])
     a, b = np.unravel_index(np.argmax(dist), dist.shape)
     return sets, int(pool[a]), int(pool[b])
 

@@ -33,8 +33,8 @@ from .seeds import part_key
 #: Distance reported for a vertex out of a query's reach; larger than
 #: every radius, so no ball test ``dist <= r`` admits it.
 UNREACHABLE = np.iinfo(np.int32).max
-#: Sources per batched `GraphWindow.dist_row` call of the library.
-ROW_BLOCK = 256
+#: Most distance entries one `GraphWindow.pairs_within` block holds.
+ROW_ENTRIES = 1 << 21
 #: Most vertices `build_window` materializes.
 MAX_WINDOW_VERTICES = 200_000
 
@@ -231,8 +231,9 @@ class GraphWindow:
 
     Distance queries run on one sparse adjacency and touch only the part
     of the graph within their limit (``dist_row``, ``dist_from``,
-    ``ball_counts``, ``GapComponents``).  A vertex beyond the limit or
-    unreachable is at distance UNREACHABLE: outside every ball.
+    ``pairs_within``, ``ball_counts``, ``GapComponents``).  A vertex
+    beyond the limit or unreachable is at distance UNREACHABLE: outside
+    every ball.
     """
 
     def __init__(
@@ -303,22 +304,22 @@ class GraphWindow:
         )
         return np.where(np.isinf(dist), UNREACHABLE, dist).astype(np.int32)
 
-    def dist_row(self, v, limit: float | None = None) -> np.ndarray:
-        """Distances from v, UNREACHABLE beyond `limit` (see dist_from).
+    def dist_row(self, v: int, limit: float | None = None) -> np.ndarray:
+        """Distances from vertex v (see dist_from)."""
+        return self.dist_from([v], limit)
 
-        For an index array v, one row per entry: a (len(v), n) array
-        from one truncated BFS per source, all in one call.  Callers
-        with many sources ask for ROW_BLOCK rows at a time, so that the
-        rows they hold stay small on large windows.
-        """
-        if np.ndim(v) == 0:
-            return self.dist_from([v], limit)
-        dist = dijkstra(
-            self._adj, indices=np.asarray(v, dtype=np.int32),
-            limit=np.inf if limit is None else limit,
-        )
-        dist[np.isinf(dist)] = UNREACHABLE
-        return dist.astype(np.int32)
+    def pairs_within(self, sources, limit: int) -> tuple[np.ndarray, ...]:
+        """Int64 arrays (k, u, d), one entry per window vertex u at
+        distance d <= `limit` from sources[k], ordered by k then u.  The
+        truncated BFS runs on max(1, ROW_ENTRIES // n) sources at a time,
+        so its dense scratch stays below ROW_ENTRIES distances."""
+        step = max(1, ROW_ENTRIES // max(self.n, 1))
+        parts = [(np.empty(0, dtype=np.int64),) * 3]
+        for s in range(0, len(sources), step):
+            dist = dijkstra(self._adj, indices=sources[s : s + step], limit=limit)
+            k, u = np.nonzero(dist <= limit)
+            parts.append((k + s, u, dist[k, u].astype(np.int64)))
+        return tuple(np.concatenate(col) for col in zip(*parts))
 
     def distance(self, u: int, v: int) -> int:
         return int(self.dist_row(u)[v])

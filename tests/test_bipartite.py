@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 
 from ppmatch import bipartite, processes, radii
@@ -100,12 +102,12 @@ def test_dump_graph_lines(tree3_d8):
 
 
 def test_edges_on_a_cycle_longer_than_a_row_block():
-    # More kept left vertices than one block of distance rows: every
+    # Kept left vertices spanning several blocks of distance rows: every
     # edge, tag and distance still follows the rule, against cycle
     # distances.
-    from ppmatch.graphs import ROW_BLOCK, GraphFamily, build_window
+    from ppmatch.graphs import GraphFamily, build_window
 
-    n = ROW_BLOCK + 64
+    n, per_block = 320, 64
     w = build_window(
         GraphFamily.explicit([[(i - 1) % n, (i + 1) % n] for i in range(n)]), 0, 0
     )
@@ -121,8 +123,9 @@ def test_edges_on_a_cycle_longer_than_a_row_block():
 
     fl = field(rng.integers(2, 5, n), rng.random(n) < 0.1)
     fr = field(rng.integers(2, 5, n), rng.random(n) < 0.1)
-    g = bipartite.build_match_graph(left, right, fl, fr, w)
-    assert len(set(g.left_vertex.tolist())) > ROW_BLOCK
+    with mock.patch("ppmatch.graphs.ROW_ENTRIES", per_block * n):
+        g = bipartite.build_match_graph(left, right, fl, fr, w)
+    assert len(set(g.left_vertex.tolist())) > 3 * per_block
     want = {}
     for i, u in enumerate(g.left_vertex.tolist()):
         for j, v in enumerate(g.right_vertex.tolist()):

@@ -1,3 +1,4 @@
+import importlib.metadata
 import json
 import os
 import subprocess
@@ -268,6 +269,22 @@ def test_failing_verify_writes_nothing(tmp_path, capsys):
     assert not list(out.glob("lemma_*")) and not out.exists()
 
 
+def test_hall_skips_fully_censored_trials(tmp_path):
+    # Trial 1 of 4 has no censor-free vertex: it is left out, and the
+    # other three each write one row.
+    summ = run_cli(
+        ["verify", "--seed", "2", "--trials", "4",
+         "--set", "graph.depth=7", "--set", "graph.core_margin=2",
+         "--set", "radii.r0=2", "--set", "process_left.kind=poisson",
+         "--set", "run.experiments=hall"],
+        tmp_path,
+    )
+    assert summ["hall"]["trials"] == 3
+    lines = (tmp_path / "lemma_boosted_hall.csv").read_text().splitlines()
+    assert lines[1] == "trial,lhs,rhs,margin"
+    assert [row.split(",")[0] for row in lines[2:]] == ["0", "1", "2"]
+
+
 @pytest.mark.parametrize("command", ["sample", "match"])
 def test_max_stage_below_one_exits_2(command, tmp_path, capsys):
     rc = cli.main(
@@ -413,6 +430,7 @@ def test_manifest_records_run(tmp_path):
     run_cli(["sample", "--seed", "5"] + SMALL, tmp_path)
     manifest = (tmp_path / "manifest.txt").read_text()
     assert "command: sample" in manifest
+    assert f"scipy: {importlib.metadata.version('scipy')}" in manifest
     assert "wall_s:" in manifest
 
 

@@ -7,12 +7,14 @@ vertices, which is where an "unreachable" marker can leak into ball
 tests.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ppmatch import experiments, processes
 from ppmatch.graphs import (
-    ROW_BLOCK, UNREACHABLE, GapComponents, GraphFamily, build_window,
+    ROW_ENTRIES, UNREACHABLE, GapComponents, GraphFamily, build_window,
 )
 from conftest import bfs_oracle, graphs
 
@@ -56,26 +58,30 @@ def test_truncated_rows(adj, limit):
     assert w.distance_matrix().tolist() == full
 
 
-@settings(max_examples=60, deadline=None)
-@given(graphs(), st.data(), st.sampled_from([None, 0, 1, 2, 3]))
-def test_batched_rows(adj, data, limit):
-    # An index array gets one row per entry, equal to its single-vertex
-    # row: none, one source, and more sources than a block of rows.
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.data(), st.integers(0, 3))
+def test_pairs_within(adj, data, limit):
+    # One (k, u, d) triple per vertex u within the limit of sources[k],
+    # in (k, u) order: for no source, one source, and sources spanning
+    # several blocks of rows as well as one.
     w = window_of(adj)
     dist = bfs_oracle(adj)
-    assert w.dist_row(np.empty(0, dtype=np.int64), limit).shape == (0, w.n)
-    v = data.draw(st.integers(0, w.n - 1))
-    assert w.dist_row(np.array([v]), limit).tolist() == [w.dist_row(v, limit).tolist()]
-    step, start = data.draw(st.integers(1, 5)), data.draw(st.integers(0, w.n - 1))
-    sources = (start + step * np.arange(ROW_BLOCK + 3)) % w.n
-    rows = w.dist_row(sources, limit)
-    assert rows.shape == (len(sources), w.n)
-    for s, row in zip(sources.tolist(), rows.tolist()):
-        assert row == w.dist_row(s, limit).tolist()
-        assert row == [
-            d if d is not None and (limit is None or d <= limit) else UNREACHABLE
-            for d in dist[s]
+    many = data.draw(
+        st.lists(st.integers(0, w.n - 1), min_size=4, max_size=4 + 2 * w.n)
+    )
+    per_block = data.draw(st.integers(1, 3))
+    for sources in ([], many[:1], many):
+        want = [
+            (k, u, d)
+            for k, s in enumerate(sources)
+            for u, d in enumerate(dist[s])
+            if d is not None and d <= limit
         ]
+        for entries in (per_block * w.n, ROW_ENTRIES):
+            with mock.patch("ppmatch.graphs.ROW_ENTRIES", entries):
+                got = w.pairs_within(sources, limit)
+            assert [a.dtype for a in got] == [np.int64] * 3
+            assert list(zip(*(a.tolist() for a in got))) == want
 
 
 @settings(max_examples=150, deadline=None)

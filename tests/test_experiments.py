@@ -1,5 +1,7 @@
 import math
 import os
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from ppmatch.errors import (
     ConfigurationError,
     ContractViolationError,
 )
-from ppmatch.graphs import GraphFamily, GraphWindow, build_window
+from ppmatch.graphs import (
+    GraphFamily, GraphWindow, build_window, parse_adjacency_text,
+)
 from ppmatch.matching import StageReport
 from ppmatch.seeds import derive_seed
 
@@ -19,6 +23,7 @@ from conftest import bfs_oracle
 
 DEG = processes.ProcessSpec.degenerate()
 POI = processes.ProcessSpec.poisson()
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +251,21 @@ def test_tail_ball_sizes_from_bfs_rows_on_a_torus(monkeypatch):
     assert curve.ball_sizes[-1] == w.n
 
 
+def test_tail_ball_sizes_do_not_depend_on_the_block_size():
+    # The ball sizes do not depend on how many sources a block of rows
+    # holds: the default, or one at ROW_ENTRIES = n.
+    w = build_window(
+        parse_adjacency_text((GOLDEN / "explicit12.adj").read_text()), 0, 0
+    )
+    radii = [0, 1, 2, 3, 5, 11]
+    rows = [(np.zeros(len(radii)), 1)]
+    default = experiments.curve_from_rows(rows, w, radii).ball_sizes
+    with mock.patch("ppmatch.graphs.ROW_ENTRIES", w.n):
+        one_each = experiments.curve_from_rows(rows, w, radii).ball_sizes
+    assert one_each == default
+    assert default[0] == 1.0 and default[-1] == w.n
+
+
 def test_unmatched_count_at_every_radius(tree3_d5):
     # Degenerate left against an empty-ish right: force unmatched left
     # points by matching against a thinned process; with the flag their
@@ -316,6 +336,18 @@ def test_dominance_skip_accounting():
     assert rep.n_trials == 2  # one usable trial x 2 radii
     with pytest.raises(CensoringError):
         experiments.tail_hole_dominance(w, POI, cfg, [0, 1], 3, 2)
+
+
+def test_hall_skip_accounting():
+    # Depth-4 window, Poisson on both sides: seed 3 censors every vertex
+    # in two of three trials, seed 1 in all three.
+    w = build_window(GraphFamily.regular_tree(3), 4, 2)
+    cfg = experiments.PipelineConfig(r0=2)
+    rep = experiments.verify_boosted_hall(w, POI, POI, cfg, 3, 3)
+    assert rep.extras == {"trials": 3, "skipped_trials": 2}
+    assert rep.n_trials == 1
+    with pytest.raises(CensoringError):
+        experiments.verify_boosted_hall(w, POI, POI, cfg, 3, 1)
 
 
 # ---------------------------------------------------------------------------
