@@ -7,14 +7,14 @@ untouched.  Stage n repeatedly finds all chains shorter than 4n, keeps
 those that are minimal for every point they touch, and flips the kept
 chains simultaneously, until none remain.
 
-One certificate decides when a stage is done: s, the length of the
+`run` is the one loop over stages and sweeps.  A sweep only selects and
+flips; a stage sweeps until its selection comes back empty, then checks
+the whole matching once and renews the certificate s, the length of the
 shortest chain (None when there is none), from a layered alternating
-BFS (Hopcroft & Karp 1973).  A stage sweeps while s < 4n.  `run` is the
-one loop over stages and sweeps: it computes s once for the empty
-matching and once after each sweep, so a stage with s >= 4n searches
-nothing and gets a zero-sweep report.  The chain search cuts every
-branch that the reverse BFS from the chain ends shows cannot finish
-below 4n edges.
+BFS (Hopcroft & Karp 1973).  s is computed once for the empty matching
+and once per stage that swept; a stage with s >= 4n searches nothing and
+gets a zero-sweep report.  The chain search cuts every branch that the
+reverse BFS from the chain ends shows cannot finish below 4n edges.
 
 Chains are compared by an endpoint-first key: the ranks of the two
 endpoints (smaller first), then the ranks of the interior points read
@@ -133,10 +133,6 @@ class Chain:
 
     points: tuple[int, ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.points) - 1
-
     @staticmethod
     def canonical(path: list[int], ranks: np.ndarray) -> "Chain":
         if ranks[path[0]] <= ranks[path[-1]]:
@@ -221,47 +217,44 @@ def find_chains(
 
 def select_minimal(chains: list[Chain], ranks: np.ndarray) -> list[Chain]:
     """Chains that are smallest among all found chains touching any of
-    their points; the result is pairwise point-disjoint."""
-    keyed = [(chain_key(c, ranks), c) for c in chains]
-    if len({k for k, _ in keyed}) != len(keyed):
+    their points, in key order; the result is pairwise point-disjoint.
+    Chains are compared by their position in key order, so each point
+    costs one integer comparison."""
+    keys = [chain_key(c, ranks) for c in chains]
+    order = sorted(range(len(chains)), key=keys.__getitem__)
+    if any(keys[a] == keys[b] for a, b in zip(order, order[1:])):
         raise ContractViolationError("duplicate chain keys")
-    best: dict[int, tuple[int, ...]] = {}
-    for k, c in keyed:
-        for p in c.points:
-            cur = best.get(p)
-            if cur is None or k < cur:
-                best[p] = k
-    out = [
-        (k, c)
-        for k, c in keyed
-        if all(best[p] == k for p in c.points)
+    best: dict[int, int] = {}
+    for pos, i in enumerate(order):
+        for p in chains[i].points:
+            best.setdefault(p, pos)
+    return [
+        chains[i]
+        for pos, i in enumerate(order)
+        if all(best[p] == pos for p in chains[i].points)
     ]
-    out.sort(key=lambda kc: kc[0])
-    return [c for _, c in out]
 
 
 def flip(m: Matching, c: Chain) -> None:
     """Apply a chain: matched edges leave, the others enter.
 
-    Validates alternation against the current matching; a stale chain is
-    a contract violation.
+    Validates the chain against the current matching before writing
+    anything; a stale or malformed chain is a contract violation.
     """
     pts = c.points
     if len(pts) < 2 or len(pts) % 2 != 0:
         raise ContractViolationError("chain must have an odd edge count")
     n_left = m.g.n_left
+    if any((p < n_left) == (q < n_left) for p, q in zip(pts, pts[1:])):
+        raise ContractViolationError("chain step stays on one side")
 
     def as_pair(p: int, q: int) -> tuple[int, int]:
         if p < n_left:
             return p, q - n_left
         return q, p - n_left
 
-    head, tail = pts[0], pts[-1]
-    for endpoint in (head, tail):
-        if endpoint < n_left:
-            if m.matchL[endpoint] != -1:
-                raise ContractViolationError("chain endpoint already matched")
-        elif m.matchR[endpoint - n_left] != -1:
+    for p in (pts[0], pts[-1]):
+        if (m.matchL[p] if p < n_left else m.matchR[p - n_left]) != -1:
             raise ContractViolationError("chain endpoint already matched")
     if len(set(pts)) != len(pts):
         raise ContractViolationError("chain repeats a point")
@@ -273,14 +266,10 @@ def flip(m: Matching, c: Chain) -> None:
             raise ContractViolationError("stale chain: matched edge out of place")
         if k % 2 == 1 and not is_matched:
             raise ContractViolationError("stale chain: expected a matched edge")
-    for k, (i, j) in enumerate(edges):
-        if k % 2 == 1:
-            m.matchL[i] = -1
-            m.matchR[j] = -1
-    for k, (i, j) in enumerate(edges):
-        if k % 2 == 0:
-            m.matchL[i] = j
-            m.matchR[j] = i
+    for i, j in edges[1::2]:
+        m.matchL[i] = m.matchR[j] = -1
+    for i, j in edges[0::2]:
+        m.matchL[i], m.matchR[j] = j, i
 
 
 def _chain_ends(g: MatchGraph, m: Matching) -> tuple[np.ndarray, np.ndarray]:
@@ -597,15 +586,17 @@ def run(
     maximum matching (no augmenting path of any length can survive).
 
     Stage n exhausts the chains shorter than 4n by minimal-chain sweeps:
-    each sweep flips the selected chains, checks the matching and that
-    no matched point became unmatched, and renews the certificate s,
-    which carries over to the next stage.  On at most _MAX_KERNEL_POINTS
-    points, stage 1 selects through one `_Stage1`, kept across its
-    sweeps.  A stage with s >= 4n (or no chain at all) sweeps nothing
-    and keeps the counts before it, with zero wall time.  The third
-    return value holds a read-only copy of matchL after each stage, for
-    diagnostic replay; a stage without a sweep shares the copy before
-    it.  An explicit max_stage above MAX_STAGE_CAP raises ResourceError.
+    each sweep flips the selected chains and checks that their points
+    are matched, until a selection comes back empty.  The stage then
+    checks the whole matching and renews the certificate s, which must
+    be at least 4n and carries over to the next stage.  On at most
+    _MAX_KERNEL_POINTS points, stage 1 selects through one `_Stage1`,
+    kept across its sweeps.  A stage with s >= 4n (or no chain at all)
+    sweeps nothing and keeps the counts before it, with zero wall time.
+    The third return value holds a read-only copy of matchL after each
+    stage, for diagnostic replay; a stage without a sweep shares the
+    copy before it.  An explicit max_stage above MAX_STAGE_CAP raises
+    ResourceError.
     """
     if max_stage is None:
         max_stage = max(1, math.ceil(g.n_points / 4) + 1)
@@ -616,6 +607,7 @@ def run(
     if max_stage < 1:
         raise ConfigurationError("max_stage must be >= 1")
     m = Matching(g)
+    match_l, match_r, n_left = m.matchL, m.matchR, g.n_left
     reports: list[StageReport] = []
     snapshots: list[np.ndarray] = []
     s = shortest_chain_length(g, m)
@@ -623,47 +615,52 @@ def run(
     snap = m.matchL.copy()
     snap.flags.writeable = False
     for n in range(1, max_stage + 1):
-        t0 = time.perf_counter()
-        kernel = (
-            _Stage1(g, m, ranks)
-            if n == 1 and g.n_points <= _MAX_KERNEL_POINTS else None
-        )
         sweeps = flips = 0
-        while s is not None and s < 4 * n:
-            if kernel is not None:
-                selected = kernel.select()
-            else:
-                chains = find_chains(
-                    g, m, 4 * n, ranks,
-                    cap=chain_cap, stage_label=f"stage {n}",
-                )
-                selected = select_minimal(chains, ranks)
-            if not selected:
+        wall = 0.0
+        if s is not None and s < 4 * n:
+            t0 = time.perf_counter()
+            kernel = (
+                _Stage1(g, m, ranks)
+                if n == 1 and g.n_points <= _MAX_KERNEL_POINTS else None
+            )
+            while True:
+                if kernel is not None:
+                    selected = kernel.select()
+                else:
+                    chains = find_chains(
+                        g, m, 4 * n, ranks,
+                        cap=chain_cap, stage_label=f"stage {n}",
+                    )
+                    selected = select_minimal(chains, ranks)
+                if not selected:
+                    break
+                for c in selected:
+                    flip(m, c)
+                # flip writes only the points of its chain, so only they
+                # can have lost a partner.
+                if any(
+                    (match_l[p] if p < n_left else match_r[p - n_left]) < 0
+                    for c in selected for p in c.points
+                ):
+                    raise ContractViolationError(
+                        f"stage {n}: a matched point became unmatched"
+                    )
+                flips += len(selected)
+                sweeps += 1
+                if sweeps > sweep_cap:
+                    raise StageDivergenceError(
+                        f"stage {n}: exceeded {sweep_cap} sweeps"
+                    )
+            m.assert_valid()
+            s = shortest_chain_length(g, m)
+            if s is not None and s < 4 * n:
                 raise StageDivergenceError(
                     f"stage {n}: chains of length {s} exist but none selected"
                 )
-            before_l, before_r = m.matchL >= 0, m.matchR >= 0
-            for c in selected:
-                flip(m, c)
-            m.assert_valid()
-            if ((before_l & (m.matchL < 0)).any()
-                    or (before_r & (m.matchR < 0)).any()):
-                raise ContractViolationError(
-                    f"stage {n}: a matched point became unmatched"
-                )
-            flips += len(selected)
-            sweeps += 1
-            if sweeps > sweep_cap:
-                raise StageDivergenceError(
-                    f"stage {n}: exceeded {sweep_cap} sweeps"
-                )
-            s = shortest_chain_length(g, m)
-        wall = 0.0
-        if sweeps:
-            ul = int(np.count_nonzero(m.matchL == -1))
-            ur = int(np.count_nonzero(m.matchR == -1))
+            ul = int(np.count_nonzero(match_l == -1))
+            ur = int(np.count_nonzero(match_r == -1))
             wall = time.perf_counter() - t0
-            snap = m.matchL.copy()
+            snap = match_l.copy()
             snap.flags.writeable = False
         reports.append(StageReport(
             n, sweeps, flips, ul, ur,

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import pdtr
 
 from .errors import CensoringError, ConfigurationError
 from .graphs import (
@@ -38,19 +37,18 @@ from .seeds import (
 POISSON = "poisson"
 PERTURBED = "perturbed"
 
-_POISSON_KMAX = 35
-_POISSON_CDF: np.ndarray | None = None
-
-
-def _poisson_cdf() -> np.ndarray:
-    """CDF table of Poisson(1); the tail mass beyond the table is below
-    the resolution of a 64-bit uniform, so inversion never overflows it."""
-    global _POISSON_CDF
-    if _POISSON_CDF is None:
-        table = pdtr(np.arange(_POISSON_KMAX + 1), 1.0)
-        table.setflags(write=False)
-        _POISSON_CDF = table
-    return _POISSON_CDF
+#: Poisson(1) CDF at 0..35: scipy.special.pdtr's values as literals, so
+#: sampling imports no scipy.special.  The tail mass beyond the table is
+#: below a 64-bit uniform's resolution, so inversion never overflows it.
+_POISSON_CDF = np.array([
+    0.36787944117144245, 0.7357588823428847, 0.9196986029286058,
+    0.9810118431238462, 0.9963401531726563, 0.9994058151824183,
+    0.999916758850712, 0.9999897508033253, 0.999998874797402,
+    0.9999998885745217, 0.9999999899522336, 0.9999999991683892,
+    0.9999999999364022, 0.9999999999954802, 0.9999999999997,
+    0.9999999999999813, 0.9999999999999989, 0.9999999999999999,
+] + [1.0] * 18)
+_POISSON_CDF.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -226,7 +224,7 @@ def sample(spec: ProcessSpec, window: GraphWindow, seed: int) -> PointMultiset:
     """
     if spec.kind == POISSON:
         u = unit_uniform_many(seed, "count", window.label_keys)
-        counts = np.searchsorted(_poisson_cdf(), u, side="right")
+        counts = np.searchsorted(_POISSON_CDF, u, side="right")
         return _from_counts(counts)
 
     if spec.kind != PERTURBED:
@@ -257,7 +255,7 @@ def count_in(pm: PointMultiset, vertex_set) -> int:
 def poisson_count_samples(seed: int, trials: int, *parts) -> np.ndarray:
     """A block of independent Poisson(1) counts from one derived stream."""
     u = uniform_stream(seed, trials, *parts)
-    return np.searchsorted(_poisson_cdf(), u, side="right").astype(np.int64)
+    return np.searchsorted(_POISSON_CDF, u, side="right").astype(np.int64)
 
 
 @dataclass(frozen=True)

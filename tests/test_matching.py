@@ -446,9 +446,10 @@ def test_kept_stage1_state_matches_fresh_and_generic(instance, worklist_only):
 
 def test_run_keeps_one_stage1_state_and_takes_both_updates(monkeypatch):
     # `run` builds one stage-1 object per run.  On the long path every
-    # sweep after the first flips one chain of low degree and takes the
-    # worklist; on the co-located instance the flipped points carry many
-    # edges and the array pass runs again.
+    # selection after the first follows one flipped chain of low degree
+    # and takes the worklist; on the co-located instance the flipped
+    # points carry many edges and the array pass runs again.  The stage
+    # selects once more than it sweeps: its last selection is empty.
     calls = {"init": 0, "array": 0, "worklist": 0}
 
     class Counted(matching._Stage1):
@@ -467,7 +468,7 @@ def test_run_keeps_one_stage1_state_and_takes_both_updates(monkeypatch):
     monkeypatch.setattr(matching, "_Stage1", Counted)
     g, ranks = long_path(40)
     reports = matching.run(g, ranks)[1]
-    assert calls == {"init": 1, "array": 1, "worklist": reports[0].sweeps - 1}
+    assert calls == {"init": 1, "array": 1, "worklist": reports[0].sweeps}
     assert reports[0].sweeps == 39
 
     calls.update(init=0, array=0, worklist=0)
@@ -475,7 +476,7 @@ def test_run_keeps_one_stage1_state_and_takes_both_updates(monkeypatch):
     reports = matching.run(g, ranks)[1]
     assert calls["init"] == 1
     assert calls["array"] >= 2
-    assert calls["array"] + calls["worklist"] == reports[0].sweeps
+    assert calls["array"] + calls["worklist"] == reports[0].sweeps + 1
 
 
 def test_stage1_kernel_covers_nine_thousand_points(monkeypatch):
@@ -507,9 +508,9 @@ def test_chain_longer_than_the_recursion_limit():
 
 
 def test_vacuous_stages_run_no_certificate(monkeypatch):
-    # One certificate per matching state: the empty matching, then one
-    # per sweep; a stage that cannot search (no chain shorter than 4n)
-    # must not run one.
+    # One certificate for the empty matching, then one per stage that
+    # swept; a stage that cannot search (no chain shorter than 4n) must
+    # not run one.
     calls = []
     certify = matching.shortest_chain_length
 
@@ -521,6 +522,96 @@ def test_vacuous_stages_run_no_certificate(monkeypatch):
     g, ranks = long_path(60)
     m, reports, _ = matching.run(g, ranks)
     assert m.size == 60
-    sweeps = sum(r.sweeps for r in reports)
-    assert sweeps == 60
-    assert len(calls) == sweeps + 1
+    assert sum(r.sweeps for r in reports) == 60
+    swept = sum(1 for r in reports if r.sweeps)
+    assert swept == 2
+    assert len(calls) == swept + 1
+
+
+def test_run_checks_the_whole_matching_once_per_stage_that_swept(
+    monkeypatch,
+):
+    calls = []
+    check = matching.Matching.assert_valid
+
+    def counted(m):
+        calls.append(1)
+        check(m)
+
+    monkeypatch.setattr(matching.Matching, "assert_valid", counted)
+    g, ranks = long_path(1200)
+    reports = matching.run(g, ranks)[1]
+    assert sum(r.sweeps for r in reports) == 1200
+    assert len(calls) == sum(1 for r in reports if r.sweeps) == 2
+
+
+def test_run_rejects_a_flip_that_unmatches_a_chain_point(monkeypatch):
+    # flip writes only its chain's points, so the sweep checks them.
+    real = matching.flip
+
+    def clears_its_pair(m, c):
+        real(m, c)
+        i, j = sorted(c.points[:2])
+        m.matchL[i] = m.matchR[j - m.g.n_left] = -1
+
+    monkeypatch.setattr(matching, "flip", clears_its_pair)
+    g = two_pair_trace()
+    with pytest.raises(
+        ContractViolationError,
+        match="stage 1: a matched point became unmatched",
+    ):
+        matching.run(g, index_ranks(g), max_stage=1)
+
+
+def test_run_rejects_a_matched_non_edge_at_the_end_of_its_stage(
+    monkeypatch,
+):
+    # Both edges flip in one sweep; the patched flip then crosses the two
+    # pairs, which keeps every point matched and both indexes symmetric.
+    real = matching.flip
+    searches = []
+
+    def crosses_pairs(m, c):
+        real(m, c)
+        if m.size == 2:
+            m.matchL[:] = m.matchR[:] = [1, 0]
+
+    def no_search(*args, **kwargs):
+        searches.append(args)
+        return []
+
+    monkeypatch.setattr(matching, "flip", crosses_pairs)
+    monkeypatch.setattr(matching, "find_chains", no_search)
+    g = bipartite.graph_from_point_edges([0, 10], [0, 10], [(0, 0), (1, 1)])
+    ranks = matching.point_order(g, np.arange(11, dtype=np.int64))
+    with pytest.raises(ContractViolationError, match=r"matched non-edge \(0,1\)"):
+        matching.run(g, ranks, max_stage=2)
+    assert not searches  # stage 2 never began
+
+
+def test_run_diverges_when_chains_remain_but_none_is_selected(monkeypatch):
+    # Stage 1 selects through _Stage1, so only stages 2 on see the patch;
+    # stage 1 leaves one chain of 7 edges.
+    monkeypatch.setattr(matching, "select_minimal", lambda chains, ranks: [])
+    g, ranks = long_path(4)
+    with pytest.raises(
+        StageDivergenceError,
+        match=r"stage 2: chains of length \d+ exist but none selected",
+    ):
+        matching.run(g, ranks)
+
+
+def test_select_minimal_rejects_duplicate_chains():
+    g = two_pair_trace()
+    ranks = index_ranks(g)
+    c = matching.Chain.canonical((0, 2), ranks)
+    with pytest.raises(ContractViolationError, match="duplicate chain keys"):
+        matching.select_minimal([c, c], ranks)
+
+
+def test_flip_rejects_a_step_that_stays_on_one_side():
+    g = bipartite.graph_from_point_edges([0, 1, 2], [0, 1, 2], [(0, 0)])
+    m = fresh(g)
+    with pytest.raises(ContractViolationError, match="stays on one side"):
+        matching.flip(m, matching.Chain((0, 1)))
+    assert (m.matchL == -1).all() and (m.matchR == -1).all()

@@ -53,8 +53,16 @@ def test_poisson_cdf_table_matches_scipy_stats():
     from scipy import stats
 
     assert np.array_equal(
-        processes._poisson_cdf(), stats.poisson.cdf(np.arange(36), 1.0)
+        processes._POISSON_CDF, stats.poisson.cdf(np.arange(36), 1.0)
     )
+
+
+def test_poisson_cdf_literals_are_pdtr_bit_for_bit():
+    from scipy.special import pdtr
+
+    table = pdtr(np.arange(36), 1.0)
+    assert processes._POISSON_CDF.tobytes() == table.tobytes()
+    assert not processes._POISSON_CDF.flags.writeable
 
 
 def test_degenerate_sample_is_vertex_set(tree3_d8):
@@ -82,7 +90,7 @@ def reference_sample(spec, window, seed):
     oracle that shares no batching with `processes.sample`.  Returns
     (counts, origin of each point in landing order, discarded)."""
     if spec.kind == "poisson":
-        cdf = processes._poisson_cdf()
+        cdf = processes._POISSON_CDF
         counts = [
             int(np.searchsorted(cdf, unit_uniform(seed, "count", lab), side="right"))
             for lab in window.labels
