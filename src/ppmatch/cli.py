@@ -141,19 +141,18 @@ class RunConfig:
         (order.r_max also at its default, core_margin - r0): every
         window distance is below it, and the work of radii.radius_cap
         (exact mode) and order.r_max grows with the value, so a larger
-        one raises ResourceError.  The window's largest distance (2 *
-        depth in a ball, n - 1 in an explicit graph) caps
+        one raises ResourceError.  The window's largest distance caps
         run.tail_radii: a tail radius costs work that grows with it,
         and its infinite-ball size can pass the float range."""
         w = build_window(self.family, self.depth, self.core_margin)
-        reach = w.n - 1 if self.family.kind == EXPLICIT else 2 * self.depth
         for key, value, cap, what in (
             ("radii.radius_cap", self.pipeline.radius_cap, w.n,
              "vertex count"),
             ("order.r_max",
              self.pipeline.resolved_order_r_max(self.core_margin), w.n,
              "vertex count"),
-            ("run.tail_radii", max(self.tail_radii), reach,
+            ("run.tail_radii", max(self.tail_radii),
+             _largest_distance(self.family, self.depth),
              "largest distance"),
         ):
             if value is not None and value > cap:
@@ -162,6 +161,13 @@ class RunConfig:
                     f"window's {what}"
                 )
         return w
+
+
+def _largest_distance(family: GraphFamily, depth: int) -> int:
+    """Caps every window distance: n - 1 explicit, 2 * depth in a ball."""
+    if family.kind == EXPLICIT:
+        return len(family.adjacency) - 1
+    return 2 * depth
 
 
 def _resolve(raw: configparser.ConfigParser) -> dict[str, dict[str, str]]:
@@ -300,7 +306,9 @@ def load_config(
         if min(tail_radii) < 0:
             raise ConfigurationError("run.tail_radii must be >= 0")
     else:
-        tail_radii = list(range(0, core_margin + 1))
+        tail_radii = list(
+            range(0, min(core_margin, _largest_distance(family, depth)) + 1)
+        )
     experiment_names = [
         x.strip() for x in run["experiments"].split(",") if x.strip()
     ]

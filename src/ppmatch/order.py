@@ -52,14 +52,12 @@ class OrderFactor:
     signature(v) is its complete prefix.  vertex_rank[v] is the position
     of v when vertices sort by (signature, vertex index).  fallback[v]
     marks vertices whose signature ties at least one other vertex, so
-    the index decided.  collision_groups lists every tied signature
-    class of size >= 2, in signature order, members by index.
+    the index decided.
     """
 
     counts: np.ndarray
     vertex_rank: np.ndarray
     fallback: np.ndarray
-    collision_groups: tuple[tuple[int, ...], ...]
     r_max: int
 
     @property
@@ -93,19 +91,11 @@ def build_order(
     tie = (ranked[1:] == ranked[:-1]).all(axis=1)
     tied = np.r_[tie, False] | np.r_[False, tie]
     fallback = tied[rank]
-    # A tied position opens a new group unless it ties the one before.
-    at = np.nonzero(tied)[0]
-    opens = np.nonzero(~tie[at[1:] - 1])[0] + 1
-    groups = np.split(order[at], opens) if len(at) else []
 
     for a in (counts, rank, fallback):
         a.setflags(write=False)
     return OrderFactor(
-        counts=counts,
-        vertex_rank=rank,
-        fallback=fallback,
-        collision_groups=tuple(tuple(g.tolist()) for g in groups),
-        r_max=r_max,
+        counts=counts, vertex_rank=rank, fallback=fallback, r_max=r_max
     )
 
 

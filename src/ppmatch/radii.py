@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .enumeration import connected_subsets_containing
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractViolationError
 from .graphs import GapComponents, GraphWindow
 from .processes import PointMultiset, count_in
 
@@ -50,35 +51,24 @@ COUNT_CAP = 200_000
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BadSet:
-    """Vertices whose half-radius ball is underpopulated by the opposite
-    process.  Membership is only evaluated where the ball is complete;
-    elsewhere the vertex is flagged censored."""
-
-    member: np.ndarray
-    censored: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return int(np.count_nonzero(self.member))
-
-
-def compute_bad_set(other: PointMultiset, window: GraphWindow, r0: int) -> BadSet:
+def compute_bad_set(
+    other: PointMultiset, window: GraphWindow, r0: int
+) -> np.ndarray:
+    """Read-only mask of the vertices whose complete half-ball (radius
+    r0 // 2) holds at most DEFICIENCY of the expected opposite count;
+    False wherever ~window.ball_ok(r0 // 2)."""
     if r0 < 2 or r0 % 2 != 0:
         raise ConfigurationError(f"r0 must be an even integer >= 2, got {r0}")
     half = r0 // 2
     ball = window.ball_counts(other.counts, half)
     # A half-ball inside the window is the whole infinite-graph ball, so
-    # its window size is the expected count; other vertices are censored.
+    # its window size is the expected count.
     expected = window.ball_counts(np.ones(window.n, dtype=np.int64), half)
-    censored = ~window.ball_ok(half)
-    member = (~censored) & (
+    member = window.ball_ok(half) & (
         ball * DEFICIENCY.denominator <= DEFICIENCY.numerator * expected
     )
     member.setflags(write=False)
-    censored.setflags(write=False)
-    return BadSet(member, censored)
+    return member
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +144,34 @@ def constraint_holds(
 class RadiusField:
     """Per-vertex reach radii with explicit censoring.
 
-    values[v] is the radius, or CENSORED (-1).  clause[v] records which
-    rule produced the value: 1 for the quiet-neighborhood base radius,
-    2 for the domination search, 0 for censored vertices.
+    values[v] is the radius, or CENSORED (-1); no other value lies
+    below r0.  The read-only view clause[v] (int8) says which rule
+    produced it: 1 for the quiet-neighborhood base radius r0, 2 for the
+    domination search (which starts at r0 + 1), 0 for censored vertices.
     """
 
     values: np.ndarray
-    censored: np.ndarray
-    clause: np.ndarray
+    r0: int
     mode: str
+
+    def __post_init__(self):
+        if ((self.values != CENSORED) & (self.values < self.r0)).any():
+            raise ContractViolationError(
+                f"radius field holds a value below r0 = {self.r0}"
+            )
+
+    @cached_property
+    def clause(self) -> np.ndarray:
+        out = (self.values >= self.r0).astype(np.int8)
+        out += self.values > self.r0
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def censored(self) -> np.ndarray:
+        out = self.values == CENSORED
+        out.setflags(write=False)
+        return out
 
     @property
     def n_censored(self) -> int:
@@ -194,24 +203,17 @@ def compute_radius_field(
     cap = radius_cap if radius_cap is not None else r0 + 8
     if cap <= r0:
         raise ConfigurationError("radius_cap must exceed r0")
-    bad = compute_bad_set(other, window, r0)
     half = r0 // 2
-
-    bad_near = window.ball_counts(bad.member, half) > 0
+    bad_near = window.ball_counts(compute_bad_set(other, window, r0), half) > 0
     # Also set where v's own half-ball leaves the window: v lies in it.
-    cens_near = window.ball_counts(bad.censored, half) > 0
+    cens_near = window.ball_counts(~window.ball_ok(half), half) > 0
 
     values = np.full(window.n, CENSORED, dtype=np.int32)
-    clause = np.zeros(window.n, dtype=np.int8)
-    censored = np.zeros(window.n, dtype=bool)
-
     clause1 = ~bad_near & ~cens_near & (own.counts <= r0)
     # A definite deficient vertex nearby settles clause 1 negatively even
     # when parts of the ball are censored.
     undecidable = ~bad_near & cens_near
     values[clause1] = r0
-    clause[clause1] = 1
-    censored[undecidable] = True
 
     pending = np.nonzero(~clause1 & ~undecidable)[0]
     if mode == SUPPORT:
@@ -227,12 +229,8 @@ def compute_radius_field(
                     break
     settled = found > 0
     values[pending[settled]] = found[settled]
-    clause[pending[settled]] = 2
-    censored[pending[~settled]] = True
-
-    for a in (values, clause, censored):
-        a.setflags(write=False)
-    return RadiusField(values, censored, clause, mode)
+    values.setflags(write=False)
+    return RadiusField(values, r0, mode)
 
 
 def _support_radii(

@@ -40,9 +40,7 @@ def test_edge_rule_uses_max_of_the_two_radii():
 
     def field(values):
         vals = np.asarray(values, dtype=np.int32)
-        return radii.RadiusField(
-            vals, np.zeros(7, bool), np.full(7, 1, np.int8), radii.SUPPORT
-        )
+        return radii.RadiusField(vals, 1, radii.SUPPORT)
 
     g = bipartite.build_match_graph(
         left, right, field([1] * 7), field([3] * 7), w
@@ -118,7 +116,7 @@ def test_edges_on_a_cycle_longer_than_a_row_block():
     def field(values, censored):
         return radii.RadiusField(
             np.where(censored, radii.CENSORED, values).astype(np.int32),
-            censored, np.where(censored, 0, 1).astype(np.int8), radii.SUPPORT,
+            2, radii.SUPPORT,
         )
 
     fl = field(rng.integers(2, 5, n), rng.random(n) < 0.1)

@@ -349,6 +349,20 @@ def test_tail_radius_above_window_distance_exits_2(
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_default_tail_radii_stay_within_a_small_window(tmp_path):
+    # On a 4-cycle the largest distance, 3, is below the default
+    # core_margin, 4: the default tail radii stop at 3, so commands that
+    # never read them, and match, run.
+    adj = tmp_path / "c4.adj"
+    adj.write_text("0: 1 3\n1: 0 2\n2: 1 3\n3: 0 2\n")
+    c4 = ["--seed", "2", "--set", "graph.family=explicit",
+          "--set", f"graph.adjacency_file={adj}", "--set", "radii.r0=2"]
+    for command in ("sample", "radii", "match"):
+        run_cli([command] + c4, tmp_path / command)
+    lines = (tmp_path / "match" / "tail.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[2:]] == ["0", "1", "2", "3"]
+
+
 @pytest.mark.parametrize("seed", [1, 3])
 def test_match_with_every_core_vertex_censored_writes_nothing(
     seed, tmp_path, capsys

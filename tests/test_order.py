@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -104,8 +105,10 @@ def test_build_order_ranks_and_fallback(tree3_d8):
     by_rank = np.argsort(of.vertex_rank)
     keys = [(of.signature(int(v)), int(v)) for v in by_rank]
     assert keys == sorted(keys)
-    # Every member of a collision group carries the fallback flag.
-    flagged = {v for grp in of.collision_groups for v in grp}
+    # A vertex carries the fallback flag exactly when another vertex
+    # shares its signature.
+    sigs = Counter(of.signature(v) for v in range(n))
+    flagged = {v for v in range(n) if sigs[of.signature(v)] > 1}
     assert flagged == set(np.nonzero(of.fallback)[0])
     assert of.n_collisions == len(flagged)
 
@@ -117,22 +120,16 @@ def test_degenerate_order_collides_by_depth_profile(tree3_d8):
     # sizes, so every vertex collides with its depth-profile class.
     assert of.n_collisions == tree3_d8.n
     # Core vertices (complete spheres, 3-regular) all share (1, 3, 6).
-    core_sig = of.signature(0)
-    assert core_sig == (1, 3, 6)
-    groups = {g for g in of.collision_groups if 0 in g}
-    core_group = groups.pop()
-    assert set(core_group) >= set(int(v) for v in tree3_d8.core)
+    for v in tree3_d8.core:
+        assert of.signature(int(v)) == (1, 3, 6)
+        assert of.fallback[v]
 
 
 def test_poisson_core_order_is_nearly_collision_free():
     w = build_window(GraphFamily.regular_tree(3), 10, 6)
     pm = processes.sample(processes.ProcessSpec.poisson(), w, derive("big"))
     of = order.build_order(pm, w, 6)
-    core = set(int(v) for v in w.core)
-    core_collisions = [
-        grp for grp in of.collision_groups if any(v in core for v in grp)
-    ]
-    assert core_collisions == []
+    assert not of.fallback[w.core].any()
 
 
 def test_mirrored_ladder_always_collides(ladder_d10):
@@ -167,7 +164,8 @@ def test_dump_order_format(tree3_d8):
 def order_oracle(adj, counts, r_max, complete_radius):
     """Plain-Python order: sphere counts from BFS distances, each prefix
     cut at the first radius whose ball leaves the window, tuples sorted
-    with the index as tiebreak and ties grouped in a dict.
+    with the index as tiebreak, and a vertex flagged when another has
+    its tuple.
     complete_radius[v] is the largest radius whose ball around v is
     complete."""
     n = len(adj)
@@ -182,27 +180,20 @@ def order_oracle(adj, counts, r_max, complete_radius):
     rank = [0] * n
     for pos, v in enumerate(sorted(range(n), key=lambda v: (sigs[v], v))):
         rank[v] = pos
-    groups = {}
-    for v in range(n):
-        groups.setdefault(sigs[v], []).append(v)
-    collisions = tuple(
-        tuple(groups[sig]) for sig in sorted(groups) if len(groups[sig]) > 1
-    )
-    return sigs, rank, collisions
+    fallback = [sigs.count(sig) > 1 for sig in sigs]
+    return sigs, rank, fallback
 
 
 def assert_order_matches_oracle(window, adj, counts, r_max, complete_radius):
     pm = processes.multiset_from_counts(np.asarray(counts, dtype=np.int64))
     of = order.build_order(pm, window, r_max)
-    sigs, rank, collisions = order_oracle(adj, counts, r_max, complete_radius)
+    sigs, rank, fallback = order_oracle(adj, counts, r_max, complete_radius)
     # The dump's second field is the signature.
     assert [line.split(" ")[1] for line in order.dump_order(of)] == [
         ",".join(str(c) for c in sig) for sig in sigs
     ]
     assert of.vertex_rank.tolist() == rank
-    assert of.collision_groups == collisions
-    flagged = {v for grp in collisions for v in grp}
-    assert of.fallback.tolist() == [v in flagged for v in range(window.n)]
+    assert of.fallback.tolist() == fallback
 
 
 @settings(max_examples=60, deadline=None)

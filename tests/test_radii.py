@@ -1,11 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ppmatch import processes, radii
 from ppmatch.enumeration import connected_subsets_containing
-from ppmatch.errors import ConfigurationError
-from ppmatch.graphs import GapComponents, GraphFamily, GraphWindow, build_window
+from ppmatch.errors import ConfigurationError, ContractViolationError
+from ppmatch.graphs import (
+    GapComponents, GraphFamily, GraphWindow, build_window, parse_adjacency_text,
+)
 from conftest import (
     attach_tree_adjacency, bfs_oracle, derive, graphs, window_adjacency,
 )
@@ -23,15 +27,16 @@ def test_bad_set_empty_for_vertex_set(tree3_d8):
     bad = radii.compute_bad_set(v_set(tree3_d8), tree3_d8, 4)
     # One point everywhere: every complete half-ball holds b_2 = 10
     # points, above 0.9 * 10.
-    assert bad.count == 0
-    assert bad.censored.sum() > 0  # the depth > 6 shell
-    assert (bad.censored == (tree3_d8.depth_from_root + 2 > 8)).all()
+    assert not bad.any()
+    unknown = ~tree3_d8.ball_ok(2)
+    assert unknown.sum() > 0  # the depth > 6 shell
+    assert (unknown == (tree3_d8.depth_from_root + 2 > 8)).all()
 
 
 def test_bad_set_flags_empty_process(tree3_d8):
     bad = radii.compute_bad_set(empty_set(tree3_d8), tree3_d8, 4)
-    member = ~bad.censored
-    assert (bad.member == member).all()
+    assert (bad == tree3_d8.ball_ok(2)).all()
+    assert not bad.flags.writeable
 
 
 def test_bad_set_threshold_is_exact_rational(tree3_d8):
@@ -41,8 +46,7 @@ def test_bad_set_threshold_is_exact_rational(tree3_d8):
     ball, _ = tree3_d8.ball(0, 2)
     counts[int(ball[0])] = 0
     pm = processes.multiset_from_counts(counts)
-    bad = radii.compute_bad_set(pm, tree3_d8, 4)
-    assert bool(bad.member[0])
+    assert radii.compute_bad_set(pm, tree3_d8, 4)[0]
 
 
 def test_bad_set_guards():
@@ -69,8 +73,56 @@ def test_degenerate_field_is_r0_on_interior(tree3_d8):
 def test_field_arrays_are_write_locked(tree3_d8):
     own = v_set(tree3_d8)
     fld = radii.compute_radius_field(own, own, tree3_d8, 4)
-    with pytest.raises(ValueError):
-        fld.values[0] = 99
+    for a in (fld.values, fld.clause, fld.censored):
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_radius_values_determine_clause(tree3_d5, ladder_d10):
+    # Every value is CENSORED, r0 (clause 1) or in (r0, radius_cap]
+    # (clause 2), so the value alone gives the clause and the censoring.
+    cases = [(tree3_d5, 2), (tree3_d5, 4), (ladder_d10, 2)] + [
+        (build_window(parse_adjacency_text((GOLDEN / name).read_text()), 0, 0), 2)
+        for name in ("explicit12.adj", "cycles60x5.adj")
+    ]
+    clause2 = 0
+    for w, r0 in cases:
+        for s in range(2):
+            own = processes.sample(
+                processes.ProcessSpec.poisson(), w, derive("own", s)
+            )
+            other = processes.sample(
+                processes.ProcessSpec.poisson(), w, derive("oth", s)
+            )
+            for mode, size_cap in ((radii.SUPPORT, None), (radii.EXACT, 3)):
+                fld = radii.compute_radius_field(
+                    own, other, w, r0, mode, size_cap=size_cap
+                )
+                vals = fld.values
+                cens = vals == radii.CENSORED
+                one = vals == r0
+                two = (vals > r0) & (vals <= r0 + 8)
+                assert (cens | one | two).all()
+                assert fld.clause.dtype == np.int8
+                assert fld.clause.tolist() == (one + 2 * two).tolist()
+                assert (fld.censored == cens).all()
+                assert fld.n_censored == int(cens.sum())
+                clause2 += int(two.sum())
+    assert clause2 > 0
+
+
+def test_radius_field_rejects_a_value_below_r0():
+    values = np.array([radii.CENSORED, 4, 5, 4], dtype=np.int32)
+    assert radii.RadiusField(values, 4, radii.SUPPORT).clause.tolist() == [
+        0, 1, 2, 1
+    ]
+    for low in (0, 3):
+        values = np.array([radii.CENSORED, 4, low], dtype=np.int32)
+        with pytest.raises(ContractViolationError, match="below r0"):
+            radii.RadiusField(values, 4, radii.SUPPORT)
 
 
 def test_clause2_triggers_on_crowded_vertex(tree3_d8):
@@ -548,9 +600,7 @@ def test_components_above_separates_distant_pockets():
     values = np.full(30, 2, dtype=np.int32)
     values[0] = 9
     values[29] = 9
-    fld = radii.RadiusField(
-        values, np.zeros(30, bool), np.full(30, 2, np.int8), radii.SUPPORT
-    )
+    fld = radii.RadiusField(values, 2, radii.SUPPORT)
     comps = radii.components_above(fld, w, 2)
     # gap 8 < 29: the two pockets stay separate components.
     assert [c.vertices for c in comps] == [(0,), (29,)]
