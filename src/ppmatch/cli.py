@@ -27,7 +27,8 @@ import numpy as np
 from . import __version__, bipartite, experiments, matching, order, processes, radii
 from .errors import ConfigurationError, PpmatchError, ResourceError
 from .graphs import (
-    EXPLICIT, GraphFamily, GraphWindow, build_window, parse_adjacency_text,
+    EXPLICIT, MAX_WINDOW_VERTICES, GraphFamily, GraphWindow, build_window,
+    parse_adjacency_text,
 )
 from .seeds import derive_seed
 
@@ -139,13 +140,15 @@ class RunConfig:
     def window(self) -> GraphWindow:
         """The configured window.  Its vertex count caps the radius keys
         (order.r_max also at its default, core_margin - r0): every
-        window distance is below it, and the work of radii.radius_cap
-        (exact mode) and order.r_max grows with the value, so a larger
-        one raises ResourceError.  The window's largest distance caps
-        run.tail_radii: a tail radius costs work that grows with it,
-        and its infinite-ball size can pass the float range."""
+        window distance is below it, and the work of radii.r0,
+        radii.radius_cap (exact mode) and order.r_max grows with the
+        value, so a larger one raises ResourceError.  The window's
+        largest distance caps run.tail_radii: a tail radius costs work
+        that grows with it, and its infinite-ball size can pass the
+        float range."""
         w = build_window(self.family, self.depth, self.core_margin)
         for key, value, cap, what in (
+            ("radii.r0", self.pipeline.r0, w.n, "vertex count"),
             ("radii.radius_cap", self.pipeline.radius_cap, w.n,
              "vertex count"),
             ("order.r_max",
@@ -164,10 +167,11 @@ class RunConfig:
 
 
 def _largest_distance(family: GraphFamily, depth: int) -> int:
-    """Caps every window distance: n - 1 explicit, 2 * depth in a ball."""
+    """Caps every window distance: n - 1 explicit, 2 * depth in a ball,
+    and MAX_WINDOW_VERTICES - 1 in any window that can be built."""
     if family.kind == EXPLICIT:
         return len(family.adjacency) - 1
-    return 2 * depth
+    return min(2 * depth, MAX_WINDOW_VERTICES - 1)
 
 
 def _resolve(raw: configparser.ConfigParser) -> dict[str, dict[str, str]]:
@@ -491,7 +495,7 @@ def _cmd_verify(cfg: RunConfig) -> dict:
             for k, s in enumerate(decay.stages):
                 lines.append(
                     f"{s},{decay.p_left[k]:.10g},{decay.p_right[k]:.10g},"
-                    f"{decay.halving_reference[k]:.10g}"
+                    f"{2.0 ** -s:.10g}"
                 )
             tables.append(("lemma_pn_decay.csv", lines))
             headline["pn"] = {

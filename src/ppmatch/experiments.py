@@ -257,9 +257,10 @@ def curve_from_rows(
 ) -> TailCurve:
     """Assemble a TailCurve from the (vals, base) pairs of tail_row,
     leaving out the trials without a base vertex."""
-    rows = [vals for vals, base in rows if base]
-    if not rows:
-        raise CensoringError("every core vertex was censored in every trial")
+    rows = _censor_free(
+        [vals if base else None for vals, base in rows],
+        "every core vertex was censored in every trial",
+    )
     mat = np.vstack(rows)
     est = mat.mean(axis=0)
     if len(rows) > 1:
@@ -320,12 +321,15 @@ class LemmaReport:
     """Per-trial two-sided comparison with exact violation accounting."""
 
     lemma_id: str
-    n_trials: int
     lhs: tuple[float, ...]
     rhs: tuple[float, ...]
     violations: int
     stderr: float
     extras: dict = field(default_factory=dict)
+
+    @property
+    def n_trials(self) -> int:
+        return len(self.lhs)
 
     @property
     def margins(self) -> tuple[float, ...]:
@@ -340,13 +344,22 @@ def _make_report(lemma_id, lhs, rhs, extras=None) -> LemmaReport:
     se = float(margins.std(ddof=1) / math.sqrt(len(margins))) if len(margins) > 1 else 0.0
     return LemmaReport(
         lemma_id=lemma_id,
-        n_trials=len(lhs),
         lhs=tuple(lhs),
         rhs=tuple(rhs),
         violations=violations,
         stderr=se,
         extras=extras or {},
     )
+
+
+def _censor_free(runs: list, message: str) -> list:
+    """The runs that are not None; CensoringError(message) when every
+    run is None.  A fully censored trial makes its comparison vacuous,
+    so it is skipped, and the caller counts what was skipped."""
+    kept = [run for run in runs if run is not None]
+    if not kept:
+        raise CensoringError(message)
+    return kept
 
 
 def lemma_report_csv(rep: LemmaReport) -> list[str]:
@@ -400,22 +413,13 @@ def tail_hole_dominance(
         reduce=partial(_dominance_trial, radii_list=radii_list),
     )
     # Both sides average over the same base, so the comparison is
-    # vacuous on a fully censored trial; skip it but say so.
-    kept = [run for run in runs if run is not None]
-    if not kept:
-        raise CensoringError("degenerate side fully censored in every trial")
-    lhs = [x for tails, _ in kept for x in tails]
-    rhs = [h for _, holes in kept for h in holes]
+    # vacuous on a fully censored trial.
+    kept = _censor_free(runs, "degenerate side fully censored in every trial")
     return _make_report(
-        "tail_hole_dominance", lhs, rhs,
-        extras={
-            "worst_margin": min(
-                (a - b for a, b in zip(lhs, rhs)), default=math.inf
-            ),
-            "trials": trials,
-            "skipped_trials": trials - len(kept),
-            "radii": len(radii_list),
-        },
+        "tail_hole_dominance",
+        [x for tails, _ in kept for x in tails],
+        [h for _, holes in kept for h in holes],
+        extras={"skipped_trials": trials - len(kept)},
     )
 
 
@@ -464,12 +468,7 @@ def verify_chebyshev(
         p_hats.append(p_hat)
     return _make_report(
         "chebyshev_density_boost", lhs, rhs,
-        extras={
-            "p_hat_mean": float(np.mean(p_hats)),
-            "p_prime_mean": float(np.mean(lhs)),
-            "bound_mean": float(np.mean(rhs)),
-            "rho_squared": rho2,
-        },
+        extras={"p_hat_mean": float(np.mean(p_hats))},
     )
 
 
@@ -507,14 +506,11 @@ def verify_boosted_hall(
         reduce=_hall_trial,
     )
     # Densities per censor-free vertex are undefined on a fully censored
-    # trial; skip it but say so.
-    kept = [run for run in runs if run is not None]
-    if not kept:
-        raise CensoringError("no censor-free vertices in any trial")
+    # trial.
+    kept = _censor_free(runs, "no censor-free vertices in any trial")
     lhs, rhs = zip(*kept)
     return _make_report(
-        "boosted_hall", lhs, rhs,
-        extras={"trials": trials, "skipped_trials": trials - len(kept)},
+        "boosted_hall", lhs, rhs, extras={"skipped_trials": trials - len(kept)}
     )
 
 
@@ -587,10 +583,7 @@ def verify_indep_set(res: PipelineResult) -> LemmaReport:
         p_r = in_r.sum() / base if base else 0.0
         lhs.append(1.0 / 3.0)
         rhs.append(min(p_l, p_r))
-    return _make_report(
-        "independent_unmatched", lhs, rhs,
-        extras={"stages": len(res.snapshots)},
-    )
+    return _make_report("independent_unmatched", lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +645,6 @@ def verify_discrepancy(
     return _make_report(
         "count_discrepancy", lhs, rhs,
         extras={
-            "violation_rate": float(viol.mean()),
             "log_freq_slope": _log_slope(
                 list(freq_by_size), list(freq_by_size.values())
             ),
@@ -750,18 +742,13 @@ def greedy_sparse_subpath(
         cur = prev[cur]
     path.reverse()
 
+    # Largest first, earlier on the path on a tie (the sort is stable):
+    # the candidates only shrink as sets are kept, so one pass picks what
+    # rescanning for the best candidate would.
     selected: list[int] = []
-    remaining = list(path)
-    while True:
-        candidates = [
-            i for i in remaining
-            if all(dmat[i, j] > r for j in selected)
-        ]
-        if not candidates:
-            break
-        best = max(candidates, key=lambda i: (len(sets[i]), -path.index(i)))
-        selected.append(best)
-        remaining = [i for i in remaining if i != best]
+    for i in sorted(path, key=lambda i: -len(sets[i])):
+        if all(dmat[i, j] > r for j in selected):
+            selected.append(i)
     selected.sort(key=path.index)
     if not selected:
         raise ContractViolationError("greedy selection came up empty")
@@ -811,12 +798,10 @@ def verify_greedy(window: GraphWindow, trials: int, seed: int) -> LemmaReport:
     )
     return LemmaReport(
         lemma_id="greedy_subpath",
-        n_trials=trials,
         lhs=tuple(float(g.bound_value) for g in runs),
         rhs=tuple(float(g.distance_uv) for g in runs),
         violations=fails,
         stderr=0.0,
-        extras={"condition_failures": fails},
     )
 
 
@@ -863,7 +848,6 @@ class PnDecay:
     p_left: tuple[float, ...]
     p_right: tuple[float, ...]
     fitted_ratio: float
-    halving_reference: tuple[float, ...]
 
 
 def stage_means(
@@ -906,5 +890,4 @@ def pn_decay(reports: list[matching_mod.StageReport]) -> PnDecay:
         p_left=tuple(p_l),
         p_right=tuple(p_r),
         fitted_ratio=0.0 if math.isnan(slope) else math.exp(slope),
-        halving_reference=tuple(2.0 ** (-r.stage) for r in reports),
     )

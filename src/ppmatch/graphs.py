@@ -259,6 +259,7 @@ class GraphWindow:
             (np.ones(len(indices)), indices, indptr), shape=(self.n, self.n)
         )
         self._reach: list[csr_matrix] = []  # _reach[r]: pairs within r
+        self._reach_closed = False  # every later relation is _reach[-1]
         if depth_from_root is None:
             depth_from_root = (
                 self.dist_row(0) if self.n else np.empty(0, np.int32)
@@ -330,17 +331,25 @@ class GraphWindow:
         return np.stack([self.dist_row(v) for v in range(self.n)])
 
     def ball_counts(self, weights: np.ndarray, r: int) -> np.ndarray:
-        """weights summed over B_r(v), for every window vertex v.  The
-        within-r relation it keeps is the sum of all radius-r ball sizes:
-        meant for small radii."""
-        if len(self._reach) <= r:
+        """weights summed over B_r(v), for every window vertex v.  It
+        keeps the within-k relation B_k for k = 0 .. r, whose pairs are
+        the sum of all radius-k ball sizes, but adds none after the
+        first that stops growing: B_{k+1} = B_k (A + I) contains B_k,
+        so one equal to B_k equals every later one."""
+        reach = self._reach
+        if len(reach) <= r and not self._reach_closed:
             closed = identity(self.n, dtype=bool, format="csr")
-            if not self._reach:
-                self._reach.append(closed)
+            if not reach:
+                reach.append(closed)
             step = (self._adj + closed).astype(bool)
-            while len(self._reach) <= r:
-                self._reach.append(self._reach[-1] @ step)
-        return self._reach[r] @ np.asarray(weights, dtype=np.int64)
+            while len(reach) <= r:
+                grown = reach[-1] @ step
+                if grown.nnz == reach[-1].nnz:
+                    self._reach_closed = True
+                    break
+                reach.append(grown)
+        weights = np.asarray(weights, dtype=np.int64)
+        return reach[min(r, len(reach) - 1)] @ weights
 
     def ball(self, v: int, r: int) -> tuple[np.ndarray, bool]:
         """Indices within distance r of v, and a completeness flag.
@@ -507,11 +516,15 @@ def build_window(
         raise ConfigurationError("core_margin cannot exceed depth")
 
     if family.kind == REGULAR_TREE:
-        if ball_size_infinite(family, depth) > MAX_WINDOW_VERTICES:
-            raise ResourceError(
-                f"tree window of depth {depth} exceeds "
-                f"{MAX_WINDOW_VERTICES} vertices"
-            )
+        # Level by level, so that a deep window stops at the cap.
+        n = 0
+        for k in range(depth + 1):
+            n += sphere_size_infinite(family, k)
+            if n > MAX_WINDOW_VERTICES:
+                raise ResourceError(
+                    f"tree window of depth {depth} exceeds "
+                    f"{MAX_WINDOW_VERTICES} vertices"
+                )
         return _tree_window(family, depth, core_margin)
 
     if family.kind == LADDER_DIAGONAL:

@@ -58,7 +58,6 @@ class OrderFactor:
     counts: np.ndarray
     vertex_rank: np.ndarray
     fallback: np.ndarray
-    r_max: int
 
     @property
     def n_collisions(self) -> int:
@@ -94,9 +93,7 @@ def build_order(
 
     for a in (counts, rank, fallback):
         a.setflags(write=False)
-    return OrderFactor(
-        counts=counts, vertex_rank=rank, fallback=fallback, r_max=r_max
-    )
+    return OrderFactor(counts=counts, vertex_rank=rank, fallback=fallback)
 
 
 def dump_order(of: OrderFactor) -> list[str]:

@@ -150,6 +150,28 @@ def bfs_oracle(adj):
     return [bfs_from(adj, s) for s in range(len(adj))]
 
 
+def greedy_rescan_oracle(sets, path, dist, r):
+    """The greedy subfamily by rescanning: keep the largest path set
+    (the earliest on the path on a tie) that lies more than r from every
+    set kept so far, until none is left; the kept sets in path order.
+    `dist` is bfs_oracle's matrix."""
+    def apart(a, b):
+        return min(dist[x][y] for x in sets[a] for y in sets[b]) > r
+
+    selected = []
+    remaining = list(path)
+    while True:
+        candidates = [
+            i for i in remaining if all(apart(i, j) for j in selected)
+        ]
+        if not candidates:
+            break
+        best = max(candidates, key=lambda i: (len(sets[i]), -path.index(i)))
+        selected.append(best)
+        remaining.remove(best)
+    return tuple(sorted(selected, key=path.index))
+
+
 def window_adjacency(w):
     """The neighbour lists of a window, read off its CSR adjacency."""
     return [ns.tolist() for ns in np.split(w._adj.indices, w._adj.indptr[1:-1])]

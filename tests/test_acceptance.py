@@ -133,7 +133,7 @@ def test_criterion_05_density_boost_spot_check():
     w = build_window(GraphFamily.regular_tree(3), 10, 1)
     rep = experiments.verify_chebyshev(w, 40, 5)
     p_hat = rep.extras["p_hat_mean"]
-    p_prime = rep.extras["p_prime_mean"]
+    p_prime = float(np.mean(rep.lhs))
     assert abs(p_hat - (1 - math.exp(-1))) <= 0.01
     assert abs(p_prime - (1 - math.exp(-3))) <= 0.01
     rho2 = 8.0 / 9.0
@@ -204,7 +204,7 @@ def test_criterion_08_tail_dominates_holes(tree3_d8):
     assert skipped <= 10, f"{skipped} of 1000 trials fully censored"
     budget.done(
         f"{rep.n_trials} comparisons, {skipped} vacuous trials, "
-        f"worst margin {rep.extras['worst_margin']:+.4f}"
+        f"worst margin {min(rep.margins):+.4f}"
     )
 
 

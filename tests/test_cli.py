@@ -307,6 +307,7 @@ def test_max_stage_above_cap_exits_2(command, tmp_path, capsys):
 
 # graph.core_margin sets order.r_max's default, core_margin - r0.
 @pytest.mark.parametrize("setting, key", [
+    ("radii.r0", "radii.r0"),
     ("radii.radius_cap", "radii.radius_cap"),
     ("order.r_max", "order.r_max"),
     ("graph.core_margin", "order.r_max"),
@@ -323,6 +324,45 @@ def test_radius_key_above_vertex_count_exits_2(setting, key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert key in err and "cap of 12" in err
     assert not any(tmp_path.iterdir())
+
+
+def test_r0_at_the_vertex_count_runs(tmp_path):
+    rc = cli.main(
+        ["match", "--out", str(tmp_path),
+         "--set", "graph.family=explicit",
+         "--set", f"graph.adjacency_file={EXPLICIT12}",
+         "--set", "radii.r0=12", "--set", "radii.mode=exact",
+         "--set", "radii.size_cap=3"]
+    )
+    assert rc == 0
+
+
+def _limit_address_space():
+    import resource
+
+    limit = 1536 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+# A deep tree stops at the vertex cap, level by level; a deep and wide
+# one also keeps its default tail radii below the cap, so it exits 2
+# within an address-space limit far below a list of 10**8 radii.
+@pytest.mark.parametrize("overrides, preexec", [
+    (["graph.depth=1000000"], None),
+    (["graph.depth=100000000", "graph.core_margin=100000000"],
+     _limit_address_space),
+])
+def test_deep_tree_window_exits_2_at_once(overrides, preexec, tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    args = [x for s in overrides for x in ("--set", s)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ppmatch.cli", "sample", "--seed", "1",
+         "--out", str(tmp_path)] + args,
+        capture_output=True, text=True, timeout=30, preexec_fn=preexec,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "exceeds 200000 vertices" in proc.stderr
 
 
 # The largest window distance: 2 * depth in a tree ball, n - 1 in the

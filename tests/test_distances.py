@@ -7,6 +7,7 @@ vertices, which is where an "unreachable" marker can leak into ball
 tests.
 """
 
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from ppmatch import experiments, processes
 from ppmatch.graphs import (
     ROW_ENTRIES, UNREACHABLE, GapComponents, GraphFamily, build_window,
+    parse_adjacency_text,
 )
 from conftest import bfs_oracle, graphs
 
@@ -117,6 +119,21 @@ def test_ball_counts(adj, data, r):
         for v in range(w.n)
     ]
     assert w.ball_counts(np.asarray(weights), r).tolist() == want
+
+
+def test_ball_counts_keep_no_relation_past_the_diameter():
+    # Past the diameter every within-r relation is the whole graph, so a
+    # radius of 10**4 keeps at most diameter + 1 of them.
+    path = Path(__file__).resolve().parent / "golden" / "explicit12.adj"
+    w = build_window(parse_adjacency_text(path.read_text()), 0, 0)
+    adj = [list(ns) for ns in w.family.adjacency]
+    dist = bfs_oracle(adj)
+    diameter = max(max(row) for row in dist)
+    ones = np.ones(w.n, dtype=np.int64)
+    for r in (1, 10**4, 3):
+        want = [sum(d <= r for d in row) for row in dist]
+        assert w.ball_counts(ones, r).tolist() == want
+    assert len(w._reach) <= diameter + 1
 
 
 @settings(max_examples=150, deadline=None)

@@ -18,7 +18,7 @@ from ppmatch.graphs import (
 from ppmatch.matching import StageReport
 from ppmatch.seeds import derive_seed
 
-from conftest import bfs_oracle
+from conftest import bfs_oracle, greedy_rescan_oracle, window_adjacency
 
 
 DEG = processes.ProcessSpec.degenerate()
@@ -290,16 +290,34 @@ def test_unmatched_count_at_every_radius(tree3_d5):
 # ---------------------------------------------------------------------------
 
 
+def test_extras_hold_only_what_the_rows_do_not(tree3_d5, poisson_pipeline_d5):
+    cfg = experiments.PipelineConfig(r0=2)
+    cases = [
+        (experiments.tail_hole_dominance(tree3_d5, POI, cfg, [0, 1], 2, 3),
+         {"skipped_trials"}),
+        (experiments.verify_boosted_hall(tree3_d5, DEG, DEG, cfg, 2, 3),
+         {"skipped_trials"}),
+        (experiments.verify_chebyshev(tree3_d5, 2, 3), {"p_hat_mean"}),
+        (experiments.verify_indep_set(poisson_pipeline_d5), set()),
+        (experiments.verify_discrepancy(tree3_d5, POI, POI, 1, 4, 3),
+         {"sizes", "log_freq_slope"}),
+        (experiments.verify_greedy(tree3_d5, 2, 3), set()),
+    ]
+    for rep, keys in cases:
+        assert set(rep.extras) == keys, rep.lemma_id
+        assert rep.n_trials == len(rep.lhs) == len(rep.rhs), rep.lemma_id
+
+
 def test_lemma_report_margins():
     rep = experiments.LemmaReport(
         lemma_id="x",
-        n_trials=3,
         lhs=(1.0, 2.0, 3.0),
         rhs=(0.5, 2.5, 3.0),
         violations=1,
         stderr=0.0,
     )
     assert rep.margins == (0.5, -0.5, 0.0)
+    assert rep.n_trials == 3
 
 
 def test_lemma_report_csv(deg_pipeline_d8, tree3_d8):
@@ -323,7 +341,7 @@ def test_dominance_holds_per_trial(tree3_d5):
     assert rep.violations == 0
     assert rep.extras["skipped_trials"] == 0
     assert rep.n_trials == 30  # 10 trials x 3 radii
-    assert rep.extras["worst_margin"] >= 0
+    assert min(rep.margins) >= 0
 
 
 def test_dominance_skip_accounting():
@@ -344,7 +362,7 @@ def test_hall_skip_accounting():
     w = build_window(GraphFamily.regular_tree(3), 4, 2)
     cfg = experiments.PipelineConfig(r0=2)
     rep = experiments.verify_boosted_hall(w, POI, POI, cfg, 3, 3)
-    assert rep.extras == {"trials": 3, "skipped_trials": 2}
+    assert rep.extras == {"skipped_trials": 2}
     assert rep.n_trials == 1
     with pytest.raises(CensoringError):
         experiments.verify_boosted_hall(w, POI, POI, cfg, 3, 1)
@@ -394,7 +412,7 @@ def test_alternating_even_reachable_hand_instance():
 
 def test_indep_set_exact_on_pipeline(poisson_pipeline_d5):
     rep = experiments.verify_indep_set(poisson_pipeline_d5)
-    assert rep.extras["stages"] == len(poisson_pipeline_d5.snapshots)
+    assert rep.n_trials == len(poisson_pipeline_d5.snapshots)
     assert all(x == pytest.approx(1.0 / 3.0) for x in rep.lhs)
     assert all(r >= 0.0 for r in rep.rhs)
 
@@ -427,12 +445,12 @@ def test_discrepancy_r_zero_never_violates(tree3_d5):
     rep = experiments.verify_discrepancy(tree3_d5, POI, POI, 0, 30, 17)
     # r = 0 makes the right-hand side vanish, so counts never fall short.
     assert all(x == 0.0 for x in rep.rhs)
-    assert rep.extras["violation_rate"] == 0.0
+    assert rep.violations == 0
 
 
 def test_discrepancy_reports_by_grown_size(tree3_d5):
     rep = experiments.verify_discrepancy(tree3_d5, POI, POI, 1, 40, 19)
-    assert 0.0 <= rep.extras["violation_rate"] <= 1.0
+    assert 0 <= rep.violations <= rep.n_trials
     assert all(isinstance(k, int) for k in rep.extras["sizes"])
     assert rep.n_trials == 40
 
@@ -478,6 +496,20 @@ def test_greedy_validation():
         experiments.greedy_sparse_subpath(w, [[0, 1, 2]], 5, 0, 2)
 
 
+def test_greedy_matches_rescanning_oracle():
+    for depth in (5, 6):
+        w = build_window(GraphFamily.regular_tree(3), depth, 0)
+        dist = bfs_oracle(window_adjacency(w))
+        for k in range(100):
+            r = 1 + k % 3
+            sets, u, v = experiments.sample_rconnected_family(
+                w, r, 5, 4, derive_seed(11, "rescan", depth, k)
+            )
+            got = experiments.greedy_sparse_subpath(w, sets, u, v, r)
+            want = greedy_rescan_oracle(sets, list(got.path_indices), dist, r)
+            assert got.selected == want, (depth, k)
+
+
 def test_sample_rconnected_family_is_valid(tree3_d5):
     for s in (3, 4):
         sets, u, v = experiments.sample_rconnected_family(tree3_d5, 2, 4, 4, s)
@@ -520,7 +552,6 @@ def test_pn_decay_halving():
     dec = experiments.pn_decay(fake_reports([0.4, 0.2, 0.1]))
     assert dec.stages == (1, 2, 3)
     assert dec.fitted_ratio == pytest.approx(0.5)
-    assert dec.halving_reference == (0.5, 0.25, 0.125)
 
 
 def test_pn_decay_guards():
