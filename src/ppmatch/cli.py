@@ -71,16 +71,22 @@ _DEFAULTS = {
 _HASH_EXEMPT = {("run", "out"), ("run", "workers"), ("run", "seed")}
 
 
-def _parse_int(text: str, name: str, optional: bool = False) -> int | None:
-    """Config key `name`'s value as an integer (None: blank and optional)."""
+def _int(
+    text: str, key: str, low: int | None = None, optional: bool = False
+) -> int | None:
+    """Config key `key`'s value as an integer of at least `low` (None:
+    blank and optional)."""
     if optional and not text.strip():
         return None
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ConfigurationError(
-            f"{name} must be an integer, got {text!r}"
+            f"{key} must be an integer, got {text!r}"
         ) from None
+    if low is not None and value < low:
+        raise ConfigurationError(f"{key} must be >= {low}, got {value}")
+    return value
 
 
 def _parse_distance_law(text: str) -> dict[int, float]:
@@ -232,7 +238,7 @@ def load_config(
     fam_name = g["family"].strip()
     if fam_name == "regular_tree":
         family = GraphFamily.regular_tree(
-            _parse_int(g["degree"], "graph.degree")
+            _int(g["degree"], "graph.degree")
         )
     elif fam_name == "ladder_diagonal":
         family = GraphFamily.ladder_diagonal()
@@ -248,40 +254,26 @@ def load_config(
         family = parse_adjacency_text(text)
     else:
         raise ConfigurationError(f"graph.family: unknown family {fam_name!r}")
-    depth = _parse_int(g["depth"], "graph.depth")
-    core_margin = _parse_int(g["core_margin"], "graph.core_margin")
-    if depth < 0 or core_margin < 0:
-        raise ConfigurationError("graph.depth and graph.core_margin must be >= 0")
+    depth = _int(g["depth"], "graph.depth", 0)
+    core_margin = _int(g["core_margin"], "graph.core_margin", 0)
 
     spec_left = _process_spec(data["process_left"], "process_left")
     spec_right = _process_spec(data["process_right"], "process_right")
 
     rr = data["radii"]
-    r0 = _parse_int(rr["r0"], "radii.r0")
-    if r0 < 2 or r0 % 2:
-        raise ConfigurationError("radii.r0 must be an even integer >= 2")
+    r0 = _int(rr["r0"], "radii.r0", 2)
+    if r0 % 2:
+        raise ConfigurationError(f"radii.r0 must be even, got {r0}")
     mode = rr["mode"].strip()
     if mode not in (radii.EXACT, radii.SUPPORT):
         raise ConfigurationError(f"radii.mode must be exact or support, got {mode!r}")
-    size_cap = _parse_int(rr["size_cap"], "radii.size_cap")
-    radius_cap = _parse_int(rr["radius_cap"], "radii.radius_cap", optional=True)
-    if size_cap < 0:
-        raise ConfigurationError("radii.size_cap must be >= 0")
-    if radius_cap is not None and radius_cap <= r0:
-        raise ConfigurationError(f"radii.radius_cap must exceed radii.r0 = {r0}")
-
-    order_r_max = _parse_int(data["order"]["r_max"], "order.r_max", optional=True)
-    if order_r_max is not None and order_r_max < 0:
-        raise ConfigurationError("order.r_max must be >= 0")
-
+    size_cap = _int(rr["size_cap"], "radii.size_cap", 0)
+    radius_cap = _int(rr["radius_cap"], "radii.radius_cap", r0 + 1, optional=True)
+    order_r_max = _int(data["order"]["r_max"], "order.r_max", 0, optional=True)
     mm = data["matcher"]
-    max_stage = _parse_int(mm["max_stage"], "matcher.max_stage", optional=True)
-    sweep_cap = _parse_int(mm["sweep_cap"], "matcher.sweep_cap")
-    chain_cap = _parse_int(mm["chain_cap"], "matcher.chain_cap")
-    if sweep_cap <= 0 or chain_cap <= 0:
-        raise ConfigurationError("matcher caps must be positive")
-    if max_stage is not None and max_stage < 1:
-        raise ConfigurationError("matcher.max_stage must be >= 1")
+    max_stage = _int(mm["max_stage"], "matcher.max_stage", 1, optional=True)
+    sweep_cap = _int(mm["sweep_cap"], "matcher.sweep_cap", 1)
+    chain_cap = _int(mm["chain_cap"], "matcher.chain_cap", 1)
 
     pipeline = experiments.PipelineConfig(
         r0=r0, mode=mode, radius_cap=radius_cap, size_cap=size_cap,
@@ -297,18 +289,9 @@ def load_config(
         )
 
     run = data["run"]
-    trials_v = _parse_int(run["trials"], "run.trials")
-    seed_v = _parse_int(run["seed"], "run.seed")
-    workers = _parse_int(run["workers"], "run.workers")
-    if trials_v < 1 or workers < 1:
-        raise ConfigurationError("run.trials and run.workers must be >= 1")
     tail_raw = run["tail_radii"].strip()
     if tail_raw:
-        tail_radii = [
-            _parse_int(x, "run.tail_radii") for x in tail_raw.split(",")
-        ]
-        if min(tail_radii) < 0:
-            raise ConfigurationError("run.tail_radii must be >= 0")
+        tail_radii = [_int(x, "run.tail_radii", 0) for x in tail_raw.split(",")]
     else:
         tail_radii = list(
             range(0, min(core_margin, _largest_distance(family, depth)) + 1)
@@ -316,11 +299,16 @@ def load_config(
     experiment_names = [
         x.strip() for x in run["experiments"].split(",") if x.strip()
     ]
+    for name in experiment_names:
+        if name not in _EXPERIMENTS:
+            raise ConfigurationError(f"run.experiments: unknown name {name!r}")
 
     return RunConfig(
         family=family, depth=depth, core_margin=core_margin,
         spec_left=spec_left, spec_right=spec_right, pipeline=pipeline,
-        trials=trials_v, seed=seed_v, out=Path(run["out"]), workers=workers,
+        trials=_int(run["trials"], "run.trials", 1),
+        seed=_int(run["seed"], "run.seed"), out=Path(run["out"]),
+        workers=_int(run["workers"], "run.workers", 1),
         tail_radii=tail_radii, experiment_names=experiment_names,
         config_hash=_config_hash(data),
     )
@@ -453,71 +441,66 @@ def _cmd_tail(cfg: RunConfig) -> dict:
     }
 
 
+def _pipeline(cfg: RunConfig, w: GraphWindow, tag: str):
+    """One pipeline run on the seed derived for `tag`."""
+    return experiments.run_matching_pipeline(
+        w, cfg.spec_left, cfg.spec_right, derive_seed(cfg.seed, tag), cfg.pipeline
+    )
+
+
+def _lemma(rep: experiments.LemmaReport) -> tuple[str, list[str], dict]:
+    """A lemma report's table name, table and headline."""
+    return f"lemma_{rep.lemma_id}.csv", experiments.lemma_report_csv(rep), {
+        "violations": rep.violations, "trials": rep.n_trials, "stderr": rep.stderr,
+    }
+
+
+def _pn(cfg: RunConfig, w: GraphWindow) -> tuple[str, list[str], dict]:
+    decay = experiments.pn_decay(_pipeline(cfg, w, "pn").reports)
+    lines = ["stage,p_left,p_right,halving_reference"] + [
+        f"{s},{pl:.10g},{pr:.10g},{2.0 ** -s:.10g}"
+        for s, pl, pr in zip(decay.stages, decay.p_left, decay.p_right)
+    ]
+    return "lemma_pn_decay.csv", lines, {
+        "p_left_head": list(decay.p_left[:8]),
+        "n_stages": len(decay.p_left),
+        "fitted_ratio": decay.fitted_ratio,
+    }
+
+
+# Each run.experiments name and its (table name, table, headline) on a
+# window; load_config rejects any other name.
+_EXPERIMENTS = {
+    "chebyshev": lambda cfg, w: _lemma(experiments.verify_chebyshev(
+        w, cfg.trials, derive_seed(cfg.seed, "cheb"))),
+    "hall": lambda cfg, w: _lemma(experiments.verify_boosted_hall(
+        w, cfg.spec_left, cfg.spec_right, cfg.pipeline, cfg.trials,
+        derive_seed(cfg.seed, "hall"))),
+    "indep": lambda cfg, w: _lemma(
+        experiments.verify_indep_set(_pipeline(cfg, w, "indep"))),
+    "discrepancy": lambda cfg, w: _lemma(experiments.verify_discrepancy(
+        w, cfg.spec_left, cfg.spec_right, 1, cfg.trials,
+        derive_seed(cfg.seed, "disc"))),
+    "dominance": lambda cfg, w: _lemma(experiments.tail_hole_dominance(
+        w, cfg.spec_right, cfg.pipeline, cfg.tail_radii, cfg.trials,
+        derive_seed(cfg.seed, "dom"))),
+    "greedy": lambda cfg, w: _lemma(
+        experiments.verify_greedy(w, cfg.trials, cfg.seed)),
+    "pn": _pn,
+}
+
+
 def _cmd_verify(cfg: RunConfig) -> dict:
     w = cfg.window()
     headline: dict = {"exact_assertion_failures": 0}
     tables: list[tuple[str, list[str]]] = []
     for name in cfg.experiment_names:
-        if name == "chebyshev":
-            rep = experiments.verify_chebyshev(
-                w, cfg.trials, derive_seed(cfg.seed, "cheb")
-            )
-        elif name == "hall":
-            rep = experiments.verify_boosted_hall(
-                w, cfg.spec_left, cfg.spec_right, cfg.pipeline,
-                cfg.trials, derive_seed(cfg.seed, "hall"),
-            )
-        elif name == "indep":
-            res = experiments.run_matching_pipeline(
-                w, cfg.spec_left, cfg.spec_right,
-                derive_seed(cfg.seed, "indep"), cfg.pipeline,
-            )
-            rep = experiments.verify_indep_set(res)
-        elif name == "discrepancy":
-            rep = experiments.verify_discrepancy(
-                w, cfg.spec_left, cfg.spec_right, 1,
-                cfg.trials, derive_seed(cfg.seed, "disc"),
-            )
-        elif name == "dominance":
-            rep = experiments.tail_hole_dominance(
-                w, cfg.spec_right, cfg.pipeline, cfg.tail_radii,
-                cfg.trials, derive_seed(cfg.seed, "dom"),
-            )
-        elif name == "greedy":
-            rep = experiments.verify_greedy(w, cfg.trials, cfg.seed)
-        elif name == "pn":
-            res = experiments.run_matching_pipeline(
-                w, cfg.spec_left, cfg.spec_right,
-                derive_seed(cfg.seed, "pn"), cfg.pipeline,
-            )
-            decay = experiments.pn_decay(res.reports)
-            lines = ["stage,p_left,p_right,halving_reference"]
-            for k, s in enumerate(decay.stages):
-                lines.append(
-                    f"{s},{decay.p_left[k]:.10g},{decay.p_right[k]:.10g},"
-                    f"{2.0 ** -s:.10g}"
-                )
-            tables.append(("lemma_pn_decay.csv", lines))
-            headline["pn"] = {
-                "p_left_head": list(decay.p_left[:8]),
-                "n_stages": len(decay.p_left),
-                "fitted_ratio": decay.fitted_ratio,
-            }
-            continue
-        else:
-            raise ConfigurationError(f"run.experiments: unknown name {name!r}")
-        tables.append(
-            (f"lemma_{rep.lemma_id}.csv", experiments.lemma_report_csv(rep))
-        )
-        headline[name] = {
-            "violations": rep.violations,
-            "trials": rep.n_trials,
-            "stderr": rep.stderr,
-        }
+        table, lines, headline[name] = _EXPERIMENTS[name](cfg, w)
+        tables.append((table, lines))
     # Any experiment can fail: write once all have run, so that a
     # failing run writes nothing.
-    for name, lines in tables:
-        _write(cfg, name, lines)
+    for table, lines in tables:
+        _write(cfg, table, lines)
     return headline
 
 

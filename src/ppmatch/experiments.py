@@ -175,6 +175,8 @@ def run_trials(
     must then pickle (a module-level function or a functools.partial of
     one).  The results do not depend on the number of workers.
     """
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
     args = (spec_left, spec_right, cfg, seed, parts, reduce)
     pool_size = min(workers, trials, os.cpu_count() or 1)
     if pool_size <= 1:
@@ -440,6 +442,8 @@ def verify_chebyshev(
     trial.  N(A) is the strict graph neighborhood: vertices with at least
     one neighbor in A.
     """
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
     fam = window.family
     if fam.amenable:
         raise ConfigurationError(
@@ -620,6 +624,8 @@ def verify_discrepancy(
     """Frequency of |right on U^{+r}| < r * |left on U| over random
     connected core sets U, with a log-frequency slope against |U^{+r}|.
     """
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
     core_ids = window.core
     if len(core_ids) == 0:
         raise ConfigurationError("window has no core")
@@ -786,6 +792,8 @@ def verify_greedy(window: GraphWindow, trials: int, seed: int) -> LemmaReport:
     """Greedy sparse subpath conditions on random families of four
     1-connected sets of up to four vertices; a violation is a trial in
     which any of the exact conditions fails."""
+    if trials < 1:
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
     runs = []
     for t in range(trials):
         sets, u, v = sample_rconnected_family(

@@ -1,6 +1,7 @@
 """Staged chain-flipping matching engine.
 
-A chain is a simple alternating path joining two unmatched points; its
+A chain is a simple alternating path joining two unmatched points, held
+as the tuple of its point ids read from the endpoint of smaller rank; its
 edge count is odd, and flipping it (remove the matched edges, insert the
 others) matches both endpoints and leaves every other point's state
 untouched.  Stage n repeatedly finds all chains shorter than 4n, keeps
@@ -123,31 +124,21 @@ class Matching:
             raise ContractViolationError("match index counts disagree")
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A simple alternating path, stored in canonical orientation.
-
-    points are global pids (right local j appears as nL + j); the stored
-    orientation begins at the endpoint of smaller rank.
-    """
-
-    points: tuple[int, ...]
-
-    @staticmethod
-    def canonical(path: list[int], ranks: np.ndarray) -> "Chain":
-        if ranks[path[0]] <= ranks[path[-1]]:
-            return Chain(tuple(path))
-        return Chain(tuple(reversed(path)))
+def canonical(path: list[int], ranks: np.ndarray) -> tuple[int, ...]:
+    """A chain as the tuple of its global pids (right local j is nL + j),
+    read from the endpoint of smaller rank."""
+    if ranks[path[0]] <= ranks[path[-1]]:
+        return tuple(path)
+    return tuple(reversed(path))
 
 
-def chain_key(c: Chain, ranks: np.ndarray) -> tuple[int, ...]:
+def chain_key(c: tuple[int, ...], ranks: np.ndarray) -> tuple[int, ...]:
     """Endpoint-first comparison key; tuples compare lexicographically,
     so equal-endpoint shorter chains sort first."""
-    pts = c.points
     return (
-        int(ranks[pts[0]]),
-        int(ranks[pts[-1]]),
-        *(int(ranks[p]) for p in pts[1:-1]),
+        int(ranks[c[0]]),
+        int(ranks[c[-1]]),
+        *(int(ranks[p]) for p in c[1:-1]),
     )
 
 
@@ -159,7 +150,7 @@ def find_chains(
     *,
     cap: int = CHAIN_CAP,
     stage_label: str = "chain search",
-) -> list[Chain]:
+) -> list[tuple[int, ...]]:
     """Every chain with fewer than max_len edges, each exactly once.
 
     Depth-bounded alternating DFS from each unmatched left point, cut
@@ -174,7 +165,7 @@ def find_chains(
     max_edges = max_len - 1 if max_len % 2 == 0 else max_len - 2
     max_points = max_edges + 1
     n_left = g.n_left
-    chains: list[Chain] = []
+    chains: list[tuple[int, ...]] = []
     partners, ends = _chain_ends(g, m)
     if not ends.any():
         return chains
@@ -195,7 +186,7 @@ def find_chains(
                     continue
                 partner = int(m.matchR[j])
                 if partner == -1:
-                    chains.append(Chain.canonical(path + [jg], ranks))
+                    chains.append(canonical(path + [jg], ranks))
                     if len(chains) > cap:
                         raise ResourceError(
                             f"{stage_label}: more than {cap} chains"
@@ -215,7 +206,9 @@ def find_chains(
     return chains
 
 
-def select_minimal(chains: list[Chain], ranks: np.ndarray) -> list[Chain]:
+def select_minimal(
+    chains: list[tuple[int, ...]], ranks: np.ndarray
+) -> list[tuple[int, ...]]:
     """Chains that are smallest among all found chains touching any of
     their points, in key order; the result is pairwise point-disjoint.
     Chains are compared by their position in key order, so each point
@@ -226,26 +219,25 @@ def select_minimal(chains: list[Chain], ranks: np.ndarray) -> list[Chain]:
         raise ContractViolationError("duplicate chain keys")
     best: dict[int, int] = {}
     for pos, i in enumerate(order):
-        for p in chains[i].points:
+        for p in chains[i]:
             best.setdefault(p, pos)
     return [
         chains[i]
         for pos, i in enumerate(order)
-        if all(best[p] == pos for p in chains[i].points)
+        if all(best[p] == pos for p in chains[i])
     ]
 
 
-def flip(m: Matching, c: Chain) -> None:
+def flip(m: Matching, c: tuple[int, ...]) -> None:
     """Apply a chain: matched edges leave, the others enter.
 
     Validates the chain against the current matching before writing
     anything; a stale or malformed chain is a contract violation.
     """
-    pts = c.points
-    if len(pts) < 2 or len(pts) % 2 != 0:
+    if len(c) < 2 or len(c) % 2 != 0:
         raise ContractViolationError("chain must have an odd edge count")
     n_left = m.g.n_left
-    if any((p < n_left) == (q < n_left) for p, q in zip(pts, pts[1:])):
+    if any((p < n_left) == (q < n_left) for p, q in zip(c, c[1:])):
         raise ContractViolationError("chain step stays on one side")
 
     def as_pair(p: int, q: int) -> tuple[int, int]:
@@ -253,13 +245,13 @@ def flip(m: Matching, c: Chain) -> None:
             return p, q - n_left
         return q, p - n_left
 
-    for p in (pts[0], pts[-1]):
+    for p in (c[0], c[-1]):
         if (m.matchL[p] if p < n_left else m.matchR[p - n_left]) != -1:
             raise ContractViolationError("chain endpoint already matched")
-    if len(set(pts)) != len(pts):
+    if len(set(c)) != len(c):
         raise ContractViolationError("chain repeats a point")
 
-    edges = [as_pair(pts[k], pts[k + 1]) for k in range(len(pts) - 1)]
+    edges = [as_pair(c[k], c[k + 1]) for k in range(len(c) - 1)]
     for k, (i, j) in enumerate(edges):
         is_matched = m.matchL[i] == j
         if k % 2 == 0 and is_matched:
@@ -395,7 +387,7 @@ class _Stage1:
         )
         self.rank_to_pid = np.empty(n, dtype=np.int64)
         self.rank_to_pid[ranks] = np.arange(n, dtype=np.int64)
-        self._last: list[Chain] | None = None
+        self._last: list[tuple[int, ...]] | None = None
         # Per-point state (partner, ext, key1, key_pair, key3, best): as
         # arrays right after an array pass, as lists once a worklist
         # update has taken them over.
@@ -405,13 +397,13 @@ class _Stage1:
             a.tolist() for a in (self.ptr, self.nbr, ranks, self.rank_to_pid)
         )
 
-    def select(self) -> list[Chain]:
+    def select(self) -> list[tuple[int, ...]]:
         """The chains the current matching's sweep flips, in key order."""
         last = self._last
         if last is None:
             chains = self._array_pass()
         else:
-            flipped = [p for c in last for p in c.points]
+            flipped = [p for c in last for p in c]
             d = self.deg[flipped]
             if self._FALLBACK * int(d @ d) > len(self.nbr):
                 chains = self._array_pass()
@@ -420,7 +412,7 @@ class _Stage1:
         self._last = chains
         return chains
 
-    def _array_pass(self) -> list[Chain]:
+    def _array_pass(self) -> list[tuple[int, ...]]:
         """Every point's state and the selection, one array expression
         per rule."""
         m, ranks = self.m, self.ranks
@@ -466,9 +458,9 @@ class _Stage1:
             + np.column_stack((x, b, a, z))[three].tolist()
         )
         order = np.argsort(np.concatenate((k1[one], k3[three])))
-        return [Chain.canonical(paths[i], ranks) for i in order]
+        return [canonical(paths[i], ranks) for i in order]
 
-    def _worklist(self, flipped: list[int]) -> list[Chain]:
+    def _worklist(self, flipped: list[int]) -> list[tuple[int, ...]]:
         """The state and the selection refreshed after flipping the points
         `flipped`, over Python lists.
 
@@ -551,7 +543,7 @@ class _Stage1:
                     if best[x] == k and best[z] == k:
                         found.append((k, [x, b, p, z]))
         found.sort()
-        return [Chain.canonical(path, self.ranks) for _, path in found]
+        return [canonical(path, self.ranks) for _, path in found]
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +632,7 @@ def run(
                 # can have lost a partner.
                 if any(
                     (match_l[p] if p < n_left else match_r[p - n_left]) < 0
-                    for c in selected for p in c.points
+                    for c in selected for p in c
                 ):
                     raise ContractViolationError(
                         f"stage {n}: a matched point became unmatched"

@@ -283,7 +283,7 @@ def hole_probability(
     close enough to reach the probe ball.
     """
     if trials < 1:
-        raise ConfigurationError("trials must be >= 1")
+        raise ConfigurationError(f"trials must be >= 1, got {trials}")
     if r > window.core_margin and window.family.kind != EXPLICIT:
         raise CensoringError(
             f"hole radius {r} exceeds core margin {window.core_margin}"

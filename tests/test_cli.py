@@ -124,10 +124,78 @@ def test_config_hash_skips_deployment_keys(tmp_path):
     ["graph.family=explicit", f"graph.adjacency_file={EXPLICIT12}",
      "run.tail_radii=0,1,-2"],
     ["matcher.max_stage=0"],
+    ["run.experiments=hall,nope"],
 ])
 def test_rejected_configs(overrides):
     with pytest.raises(ConfigurationError):
         load(overrides)
+
+
+# Every integer key with a value that is out of its bound or no integer,
+# and the value the message shows.
+@pytest.mark.parametrize("key, text, shown", [
+    ("graph.degree", "x", "'x'"),
+    ("graph.depth", "-1", "-1"),
+    ("graph.depth", "1.5", "'1.5'"),
+    ("graph.core_margin", "-1", "-1"),
+    ("radii.r0", "0", "0"),
+    ("radii.r0", "3", "3"),
+    ("radii.size_cap", "-1", "-1"),
+    ("radii.radius_cap", "4", "4"),  # the default r0 = 4
+    ("radii.radius_cap", "x", "'x'"),
+    ("order.r_max", "-1", "-1"),
+    ("matcher.max_stage", "0", "0"),
+    ("matcher.sweep_cap", "0", "0"),
+    ("matcher.chain_cap", "0", "0"),
+    ("matcher.chain_cap", "1e3", "'1e3'"),
+    ("run.trials", "0", "0"),
+    ("run.seed", "one", "'one'"),
+    ("run.workers", "0", "0"),
+    ("run.tail_radii", "0,-1", "-1"),
+    ("run.tail_radii", "0,x", "'x'"),
+])
+def test_integer_key_errors_name_the_key_and_the_value(key, text, shown):
+    with pytest.raises(ConfigurationError) as info:
+        load([f"{key}={text}"])
+    message = str(info.value)
+    assert message.startswith(f"{key} must be")
+    assert message.endswith(f"got {shown}")
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_unknown_experiment_stops_every_command(
+    command, tmp_path, monkeypatch, capsys
+):
+    # The name is checked at load time: no window is built and nothing
+    # is written, whether or not the command runs experiments.
+    calls = []
+    monkeypatch.setattr(cli, "build_window", lambda *a: calls.append(a))
+    out = tmp_path / "out"
+    rc = cli.main(
+        [command, "--set", "run.experiments=nope", "--out", str(out)] + SMALL
+    )
+    assert rc == 2 and calls == []
+    assert "run.experiments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_experiment_runs_no_trial(tmp_path, monkeypatch, capsys):
+    # hall comes first in the list, but the unknown name after it is
+    # refused before any experiment runs.
+    calls = []
+    real = experiments.run_trials
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_trials", spy)
+    rc = cli.main(
+        ["verify", "--set", "run.experiments=hall,nope",
+         "--out", str(tmp_path / "out")] + SMALL
+    )
+    assert rc == 2 and calls == []
+    assert "'nope'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +499,19 @@ def test_trend_report_rejects_short_stage_cap(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "max_stage" in proc.stderr
+
+
+def test_trend_report_rejects_zero_trials(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "trend_report.py"),
+         "--depths", "4", "--trials", "0", "--out", str(tmp_path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "trials" in proc.stderr
+    assert not (tmp_path / "trends.json").exists()
 
 
 def test_unknown_experiment_exits_with_error(tmp_path, capsys):

@@ -150,6 +150,22 @@ def test_run_trials_bounds_the_pool(tree3_d5, monkeypatch):
         assert sizes == ([] if size is None else [size])
 
 
+@pytest.mark.parametrize("harness", [
+    lambda w: experiments.run_trials(
+        w, POI, POI, experiments.PipelineConfig(r0=2), 0, 5, "trial",
+        reduce=matched_count,
+    ),
+    lambda w: experiments.verify_chebyshev(w, 0, 1),
+    lambda w: experiments.verify_discrepancy(w, POI, POI, 1, 0, 1),
+    lambda w: experiments.verify_greedy(w, 0, 1),
+], ids=["run_trials", "chebyshev", "discrepancy", "greedy"])
+def test_zero_trials_are_refused(harness, tree3_d5):
+    # A run of no trials has nothing to report: it is refused, not
+    # reported as an empty table or a nan mean.
+    with pytest.raises(ConfigurationError, match="trials must be >= 1, got 0"):
+        harness(tree3_d5)
+
+
 def test_pipeline_builds_order_from_left(tree3_d5):
     cfg = experiments.PipelineConfig(r0=2)
     res = experiments.run_matching_pipeline(tree3_d5, POI, DEG, 11, cfg)

@@ -54,20 +54,20 @@ def test_point_order_respects_vertex_rank():
 def test_chain_canonical_orientation():
     g = two_pair_trace()
     ranks = matching.point_order(g, np.arange(2, dtype=np.int64))
-    c = matching.Chain.canonical((3, 0), ranks)
-    assert c.points == (0, 3)
-    again = matching.Chain.canonical((0, 3), ranks)
+    c = matching.canonical((3, 0), ranks)
+    assert c == (0, 3)
+    again = matching.canonical((0, 3), ranks)
     assert again == c
 
 
 def test_chain_key_is_endpoint_first():
     g = two_pair_trace()
     ranks = matching.point_order(g, np.arange(2, dtype=np.int64))
-    short = matching.Chain.canonical((0, 2), ranks)  # L0-R0
+    short = matching.canonical((0, 2), ranks)  # L0-R0
     assert matching.chain_key(short, ranks) == (0, 1)
     # The length-3 detour L0-R1-L1-R0 shares endpoints 0..R0 only if
     # matched edges exist; here test pure key shape on a 1-edge chain.
-    cross = matching.Chain.canonical((0, 3), ranks)
+    cross = matching.canonical((0, 3), ranks)
     assert matching.chain_key(cross, ranks) == (0, 3)
     assert matching.chain_key(short, ranks) < matching.chain_key(cross, ranks)
 
@@ -78,7 +78,7 @@ def test_find_chains_initial_singles():
     m = fresh(g)
     chains = matching.find_chains(g, m, 4, ranks)
     # All three edges are length-1 chains.
-    assert sorted(c.points for c in chains) == [(0, 2), (0, 3), (1, 3)]
+    assert sorted(chains) == [(0, 2), (0, 3), (1, 3)]
 
 
 def test_select_minimal_blocks_overlaps():
@@ -89,7 +89,7 @@ def test_select_minimal_blocks_overlaps():
     picked = matching.select_minimal(chains, ranks)
     # (L0,R0) has the least key and blocks both other chains at shared
     # points; nothing else is locally minimal everywhere.
-    assert [c.points for c in picked] == [(0, 2)]
+    assert picked == [(0, 2)]
 
 
 def test_two_pair_trace_full_stage():
@@ -133,12 +133,12 @@ def test_flip_validates_alternation():
     g = two_pair_trace()
     ranks = matching.point_order(g, np.arange(2, dtype=np.int64))
     m = fresh(g)
-    c = matching.Chain.canonical((0, 2), ranks)
+    c = matching.canonical((0, 2), ranks)
     matching.flip(m, c)
     assert m.matchL[0] == 0
     with pytest.raises(ContractViolationError):
         matching.flip(m, c)  # endpoints now matched: stale chain
-    bad = matching.Chain((1, 2))
+    bad = (1, 2)
     with pytest.raises(ContractViolationError):
         matching.flip(m, bad)  # R0 is matched
 
@@ -146,7 +146,7 @@ def test_flip_validates_alternation():
 def test_flip_rejects_repeated_points():
     g = bipartite.graph_from_point_edges([0, 1, 2], [0, 1, 2], [(0, 0)])
     m = fresh(g)
-    dup = matching.Chain((0, 3, 0, 4))
+    dup = (0, 3, 0, 4)
     with pytest.raises(ContractViolationError):
         matching.flip(m, dup)
 
@@ -155,9 +155,9 @@ def test_flip_unmakes_the_matched_edge_of_a_longer_chain():
     g = bipartite.graph_from_point_edges([0, 1], [0, 1], [(0, 0), (0, 1), (1, 1)])
     ranks = index_ranks(g)
     m = fresh(g)
-    matching.flip(m, matching.Chain.canonical((0, 3), ranks))  # L0-R1
+    matching.flip(m, matching.canonical((0, 3), ranks))  # L0-R1
     # L1-R1-L0-R0: L0-R1 is unmade, L1-R1 and L0-R0 are made.
-    matching.flip(m, matching.Chain.canonical((1, 3, 0, 2), ranks))
+    matching.flip(m, matching.canonical((1, 3, 0, 2), ranks))
     assert m.matchL[0] == 0 and m.matchL[1] == 1
 
 
@@ -174,7 +174,7 @@ def test_shortest_chain_length_certificate():
         [0, 1], [0, 1], [(0, 0), (1, 0), (1, 1)]
     )
     m2 = fresh(g2)
-    matching.flip(m2, matching.Chain((1, 2)))  # L1-R0
+    matching.flip(m2, (1, 2))  # L1-R0
     assert matching.shortest_chain_length(g2, m2) == 3
 
 
@@ -204,9 +204,9 @@ def test_find_chains_matches_exhaustive_search(seed, max_len):
         i, j = edges[k]
         if m.matchL[i] == -1 and m.matchR[j] == -1:
             m.matchL[i], m.matchR[j] = j, i
-    found = [c.points for c in matching.find_chains(g, m, max_len, ranks)]
+    found = matching.find_chains(g, m, max_len, ranks)
     expected = [
-        matching.Chain.canonical(list(c), ranks).points
+        matching.canonical(list(c), ranks)
         for c in exhaustive_chains_below(g, m, max_len)
     ]
     assert len(found) == len(set(found))
@@ -383,7 +383,7 @@ def line_instance(n, seed, reach=1.5):
 
 def generic_selection(g, m, ranks):
     chains = matching.find_chains(g, m, 4, ranks)
-    return [c.points for c in matching.select_minimal(chains, ranks)]
+    return matching.select_minimal(chains, ranks)
 
 
 @settings(max_examples=40, deadline=None)
@@ -400,7 +400,7 @@ def test_kernel_sweep_matches_generic_selection(instance):
     m = fresh(g)
     while True:
         kernel = matching._Stage1(g, m, ranks).select()
-        assert [c.points for c in kernel] == generic_selection(g, m, ranks)
+        assert kernel == generic_selection(g, m, ranks)
         if not kernel:
             break
         for c in kernel:
@@ -433,12 +433,9 @@ def test_kept_stage1_state_matches_fresh_and_generic(instance, worklist_only):
         kept._FALLBACK = 0
     while True:
         selected = kept.select()
-        chains = [c.points for c in selected]
-        assert chains == [
-            c.points for c in matching._Stage1(g, m, ranks).select()
-        ]
-        assert chains == generic_selection(g, m, ranks)
-        if not chains:
+        assert selected == matching._Stage1(g, m, ranks).select()
+        assert selected == generic_selection(g, m, ranks)
+        if not selected:
             break
         for c in selected:
             matching.flip(m, c)
@@ -490,12 +487,42 @@ def test_stage1_kernel_covers_nine_thousand_points(monkeypatch):
         g, ranks = line_instance(per_side, 19)
         assert g.n_points == 2 * per_side <= matching._MAX_KERNEL_POINTS
         first = matching._Stage1(g, fresh(g), ranks).select()
-        assert [c.points for c in first] == generic_selection(
-            g, fresh(g), ranks
-        )
+        assert first == generic_selection(g, fresh(g), ranks)
         with monkeypatch.context() as patch:
             patch.setattr(matching, "find_chains", no_search)
             matching.run(g, ranks, max_stage=1)[0].assert_valid()
+
+
+def test_stage1_above_the_kernel_limit_matches_the_kernel(monkeypatch):
+    # Above _MAX_KERNEL_POINTS `run` sends stage 1 to find_chains; on
+    # line graphs like the benchmark's and on the long path it must give
+    # the matching and the report counts of the kernel run.
+    def counts(reports):
+        return [
+            (r.stage, r.sweeps, r.flips, r.unmatched_left, r.unmatched_right,
+             r.shortest_chain)
+            for r in reports
+        ]
+
+    real, labels = matching.find_chains, []
+
+    def spy(*args, **kwargs):
+        labels.append(kwargs["stage_label"])
+        return real(*args, **kwargs)
+
+    for g, ranks in (
+        line_instance(200, 5), line_instance(300, 7), line_instance(150, 9, 2.5),
+        long_path(60),
+    ):
+        m, reports, _ = matching.run(g, ranks)
+        labels.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(matching, "_MAX_KERNEL_POINTS", 0)
+            patch.setattr(matching, "find_chains", spy)
+            m_generic, reports_generic, _ = matching.run(g, ranks)
+        assert "stage 1" in labels
+        assert m_generic.matchL.tolist() == m.matchL.tolist()
+        assert counts(reports_generic) == counts(reports)
 
 
 def test_chain_longer_than_the_recursion_limit():
@@ -551,7 +578,7 @@ def test_run_rejects_a_flip_that_unmatches_a_chain_point(monkeypatch):
 
     def clears_its_pair(m, c):
         real(m, c)
-        i, j = sorted(c.points[:2])
+        i, j = sorted(c[:2])
         m.matchL[i] = m.matchR[j - m.g.n_left] = -1
 
     monkeypatch.setattr(matching, "flip", clears_its_pair)
@@ -604,7 +631,7 @@ def test_run_diverges_when_chains_remain_but_none_is_selected(monkeypatch):
 def test_select_minimal_rejects_duplicate_chains():
     g = two_pair_trace()
     ranks = index_ranks(g)
-    c = matching.Chain.canonical((0, 2), ranks)
+    c = matching.canonical((0, 2), ranks)
     with pytest.raises(ContractViolationError, match="duplicate chain keys"):
         matching.select_minimal([c, c], ranks)
 
@@ -613,5 +640,5 @@ def test_flip_rejects_a_step_that_stays_on_one_side():
     g = bipartite.graph_from_point_edges([0, 1, 2], [0, 1, 2], [(0, 0)])
     m = fresh(g)
     with pytest.raises(ContractViolationError, match="stays on one side"):
-        matching.flip(m, matching.Chain((0, 1)))
+        matching.flip(m, (0, 1))
     assert (m.matchL == -1).all() and (m.matchR == -1).all()
