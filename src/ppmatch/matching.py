@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -172,24 +172,26 @@ def find_chains(
     # to_end[p] bounds every completion through left p from below, so the
     # DFS enters no branch that cannot finish within max_points.
     to_end = _steps_to_ends(g, partners, ends).tolist()
+    match_l, match_r = m.matchL.tolist(), m.matchR.tolist()
 
-    for root in range(n_left):
-        if m.matchL[root] != -1 or 2 * to_end[root] + 2 > max_points:
+    for root in np.flatnonzero(m.matchL == -1).tolist():
+        if 2 * to_end[root] + 2 > max_points:
             continue
         path, onpath = [root], {root}
-        stack = [iter(g.right_neighbors(root))]
+        stack = [iter(g.right_neighbors(root).tolist())]
         while stack:
             i = path[-1]
             for j in stack[-1]:
-                jg = n_left + int(j)
-                if jg in onpath or m.matchL[i] == j:
+                jg = n_left + j
+                if jg in onpath or match_l[i] == j:
                     continue
-                partner = int(m.matchR[j])
+                partner = match_r[j]
                 if partner == -1:
                     chains.append(canonical(path + [jg], ranks))
                     if len(chains) > cap:
                         raise ResourceError(
                             f"{stage_label}: more than {cap} chains"
+                            " (matcher.chain_cap)"
                         )
                 elif (
                     len(path) + 3 + 2 * to_end[partner] <= max_points
@@ -197,7 +199,7 @@ def find_chains(
                 ):
                     path += [jg, partner]
                     onpath.update((jg, partner))
-                    stack.append(iter(g.right_neighbors(partner)))
+                    stack.append(iter(g.right_neighbors(partner).tolist()))
                     break
             else:
                 stack.pop()
@@ -312,13 +314,13 @@ def shortest_chain_length(g: MatchGraph, m: Matching) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def _row_min(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per-CSR-row minimum with INF_KEY for empty rows."""
-    nrows = len(indptr) - 1
-    out = np.full(nrows, INF_KEY, dtype=np.int64)
-    nonempty = indptr[1:] > indptr[:-1]
-    if values.size and nonempty.any():
-        out[nonempty] = np.minimum.reduceat(values, indptr[:-1][nonempty])
+def _row_min(values: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Per-row minimum of `values`, whose row ids `rows` never decrease;
+    INF_KEY for rows with no value."""
+    out = np.full(n_rows, INF_KEY, dtype=np.int64)
+    if len(rows):
+        start = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+        out[rows[start]] = np.minimum.reduceat(values, start)
     return out
 
 
@@ -347,9 +349,24 @@ def _pack(u: int, i: int, j: int, w: int) -> int:
     return (u << (2 * _FIELD_BITS)) | (w << _FIELD_BITS) | (i + 1)
 
 
+def _flip_each(m: Matching, chains: list, stage: int) -> None:
+    """Flip point-disjoint chains one at a time, then check that their
+    points are matched: flip writes no other point."""
+    for c in chains:
+        flip(m, c)
+    n_left, match_l, match_r = m.g.n_left, m.matchL, m.matchR
+    if any(
+        (match_l[p] if p < n_left else match_r[p - n_left]) < 0
+        for c in chains for p in c
+    ):
+        raise ContractViolationError(
+            f"stage {stage}: a matched point became unmatched"
+        )
+
+
 class _Stage1:
-    """The stage-1 selection of one run, with its per-point state kept
-    from one sweep to the next.
+    """The stage-1 sweeps of one run, with the per-point state kept from
+    one sweep to the next.
 
     In stage 1 the only chains are single edges between unmatched points
     and length-3 chains threading one matched pair.  For a fixed matched
@@ -360,13 +377,15 @@ class _Stage1:
     CSR over the global point ids, built once; entries a mask rules out
     may hold keys of no chain.
 
-    `select` returns the chains one sweep flips.  The first call is one
-    array pass over the whole graph.  Each later call assumes that the
-    caller flipped exactly the chains the previous call returned, and
+    `sweep` selects the current matching's chains and flips them.  The
+    first sweep selects by one array pass over the whole graph, then
+    checks and writes the selection as index arrays.  Each later sweep
+    assumes that only the sweep before it changed the matching, and
     recomputes the state only on the points those flips can reach; in
     stage 1 a matched point never becomes free, so every other point's
-    inputs are unchanged.  When the flipped points carry many edges, the
-    array pass runs again instead.
+    inputs are unchanged.  It flips its few chains through `flip`.  When
+    the flipped points carry many edges, the array pass runs again
+    instead.
     """
 
     #: The array pass reruns when _FALLBACK * sum(deg**2) over the
@@ -377,66 +396,74 @@ class _Stage1:
     def __init__(self, g: MatchGraph, m: Matching, ranks: np.ndarray):
         n_left, n = g.n_left, g.n_points
         self.n_left, self.m, self.ranks = n_left, m, ranks
-        self.ptr = np.concatenate(
+        ptr = np.concatenate(
             (g.indptr_left, g.indptr_right[1:] + len(g.indices_left))
         )
         self.nbr = np.concatenate((g.indices_left + n_left, g.indices_right))
-        self.deg = np.diff(self.ptr)
+        self.deg = np.diff(ptr)
         self.owner = np.concatenate(
             (g.owner_left, np.repeat(np.arange(n_left, n), self.deg[n_left:]))
         )
+        self.rank_nbr = ranks[self.nbr]
         self.rank_to_pid = np.empty(n, dtype=np.int64)
         self.rank_to_pid[ranks] = np.arange(n, dtype=np.int64)
-        self._last: list[tuple[int, ...]] | None = None
+        # The points the last sweep flipped; None: the array pass is next.
+        self._flipped: list[int] | None = None
         # Per-point state (partner, ext, key1, key_pair, key3, best): as
         # arrays right after an array pass, as lists once a worklist
         # update has taken them over.
         self._arrays: tuple[np.ndarray, ...] | None = None
         self._lists: list[list[int]] | None = None
         self._graph_lists = tuple(
-            a.tolist() for a in (self.ptr, self.nbr, ranks, self.rank_to_pid)
+            a.tolist() for a in (ptr, self.nbr, ranks, self.rank_to_pid)
         )
+        self._deg = self.deg.tolist()
 
-    def select(self) -> list[tuple[int, ...]]:
-        """The chains the current matching's sweep flips, in key order."""
-        last = self._last
-        if last is None:
-            chains = self._array_pass()
+    def sweep(self) -> int:
+        """Select the current matching's chains and flip them; returns
+        how many were flipped."""
+        if self._flipped is None:
+            selection = self._array_pass()
+            self._write(*selection)
+            points = np.concatenate(selection)
+            d = self.deg[points]
+            n_chains = len(selection[0]) + len(selection[4])
+            cost, flipped = int(d @ d), points.tolist()
         else:
-            flipped = [p for c in last for p in c]
-            d = self.deg[flipped]
-            if self._FALLBACK * int(d @ d) > len(self.nbr):
-                chains = self._array_pass()
-            else:
-                chains = self._worklist(flipped)
-        self._last = chains
-        return chains
+            chains = self._worklist(self._flipped)
+            _flip_each(self.m, chains, 1)
+            deg = self._deg
+            flipped = [p for c in chains for p in c]
+            n_chains, cost = len(chains), sum(deg[p] ** 2 for p in flipped)
+        self._flipped = (
+            None if self._FALLBACK * cost > len(self.nbr) else flipped
+        )
+        return n_chains
 
-    def _array_pass(self) -> list[tuple[int, ...]]:
+    def _array_pass(self) -> tuple[np.ndarray, ...]:
         """Every point's state and the selection, one array expression
-        per rule."""
+        per rule: the single edges p-y and the 3-chains x-b-a-z, left
+        p, x and a, as index arrays (p, y, x, b, a, z)."""
         m, ranks = self.m, self.ranks
-        ptr, nbr, owner = self.ptr, self.nbr, self.owner
         n_left = self.n_left
         partner = np.concatenate(
             (np.where(m.matchL >= 0, m.matchL + n_left, -1), m.matchR)
         )
         free = partner < 0
+        via = partner[self.nbr]
         # ext[p]: the smallest rank among p's unmatched neighbors.
-        ext = _row_min(np.where(free[nbr], ranks[nbr], INF_KEY), ptr)
+        i = np.flatnonzero(via < 0)
+        ext = _row_min(self.rank_nbr[i], self.owner[i], len(partner))
         key1 = _key(ranks, -1, -1, ext)
         # The chain ext[q]-q-p-ext[p] through each matched pair (p, q): the
         # same key from both members.
         key_pair = _key(ext[partner], ranks[partner], ranks, ext)
-        # The chain p-q-partner[q]-ext[partner[q]] through each matched
-        # neighbor q, minimized per row.
-        via = partner[nbr]
+        # The chain p-q-partner[q]-ext[partner[q]] from each unmatched p
+        # through each matched neighbor q, minimized per row.
+        i = np.flatnonzero(free[self.owner] & (via >= 0))
+        o, v = self.owner[i], via[i]
         key3 = _row_min(
-            np.where(
-                via >= 0, _key(ranks[owner], ranks[nbr], ranks[via], ext[via]),
-                INF_KEY,
-            ),
-            ptr,
+            _key(ranks[o], self.rank_nbr[i], ranks[v], ext[v]), o, len(partner)
         )
         best = np.where(free, np.minimum(key1, key3), key_pair)
         self._arrays = (partner, ext, key1, key_pair, key3, best)
@@ -453,16 +480,37 @@ class _Stage1:
         b = partner[a]
         x, z = rank_to_pid[ext[b]], rank_to_pid[ext[a]]
         three = (best[x] == k3) & (best[z] == k3)
-        paths = (
-            np.column_stack((p, y))[one].tolist()
-            + np.column_stack((x, b, a, z))[three].tolist()
-        )
-        order = np.argsort(np.concatenate((k1[one], k3[three])))
-        return [canonical(paths[i], ranks) for i in order]
+        return p[one], y[one], x[three], b[three], a[three], z[three]
+
+    def _write(self, p, y, x, b, a, z) -> None:
+        """Flip the chains p-y and x-b-a-z of one array pass at once,
+        after the checks `flip` makes on each chain."""
+        m, n_left = self.m, self.n_left
+        left, right = np.concatenate((p, x, a)), np.concatenate((y, b, z))
+        points = np.concatenate((left, right))
+        if len(np.unique(points)) < len(points):
+            raise ContractViolationError("chain repeats a point")
+        if (left >= n_left).any() or (right < n_left).any():
+            raise ContractViolationError("chain step stays on one side")
+        right -= n_left
+        if (m.matchL[np.concatenate((p, x))] != -1).any() or (
+            m.matchR[np.concatenate((y, z)) - n_left] != -1
+        ).any():
+            raise ContractViolationError("chain endpoint already matched")
+        if (m.matchL[a] != b - n_left).any():
+            raise ContractViolationError(
+                "stale chain: expected a matched edge"
+            )
+        m.matchL[left] = right
+        m.matchR[right] = left
+        if (m.matchL[left] < 0).any() or (m.matchR[right] < 0).any():
+            raise ContractViolationError(
+                "stage 1: a matched point became unmatched"
+            )
 
     def _worklist(self, flipped: list[int]) -> list[tuple[int, ...]]:
         """The state and the selection refreshed after flipping the points
-        `flipped`, over Python lists.
+        `flipped`, over Python lists; the chains in no particular order.
 
         With E the flipped points that were free before the flip, N the
         neighbors and P the partners: partner changes on the flipped
@@ -535,15 +583,14 @@ class _Stage1:
                 if k < INF_KEY and best[p] == k:
                     y = rank_to_pid[ext[p]]
                     if best[y] == k:
-                        found.append((k, [p, y]))
+                        found.append((p, y))
             else:
                 k = key_pair[p]
                 if k < INF_KEY:
                     x, z = rank_to_pid[ext[b]], rank_to_pid[ext[p]]
                     if best[x] == k and best[z] == k:
-                        found.append((k, [x, b, p, z]))
-        found.sort()
-        return [canonical(path, self.ranks) for _, path in found]
+                        found.append((x, b, p, z))
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +598,7 @@ class _Stage1:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StageReport:
+class StageReport(NamedTuple):
     """shortest_chain: the certificate the stage ended with."""
 
     stage: int
@@ -582,7 +628,7 @@ def run(
     are matched, until a selection comes back empty.  The stage then
     checks the whole matching and renews the certificate s, which must
     be at least 4n and carries over to the next stage.  On at most
-    _MAX_KERNEL_POINTS points, stage 1 selects through one `_Stage1`,
+    _MAX_KERNEL_POINTS points, stage 1 sweeps through one `_Stage1`,
     kept across its sweeps.  A stage with s >= 4n (or no chain at all)
     sweeps nothing and keeps the counts before it, with zero wall time.
     The third return value holds a read-only copy of matchL after each
@@ -599,7 +645,7 @@ def run(
     if max_stage < 1:
         raise ConfigurationError("max_stage must be >= 1")
     m = Matching(g)
-    match_l, match_r, n_left = m.matchL, m.matchR, g.n_left
+    match_l, match_r = m.matchL, m.matchR
     reports: list[StageReport] = []
     snapshots: list[np.ndarray] = []
     s = shortest_chain_length(g, m)
@@ -617,31 +663,23 @@ def run(
             )
             while True:
                 if kernel is not None:
-                    selected = kernel.select()
+                    n_flipped = kernel.sweep()
                 else:
                     chains = find_chains(
                         g, m, 4 * n, ranks,
                         cap=chain_cap, stage_label=f"stage {n}",
                     )
                     selected = select_minimal(chains, ranks)
-                if not selected:
+                    _flip_each(m, selected, n)
+                    n_flipped = len(selected)
+                if not n_flipped:
                     break
-                for c in selected:
-                    flip(m, c)
-                # flip writes only the points of its chain, so only they
-                # can have lost a partner.
-                if any(
-                    (match_l[p] if p < n_left else match_r[p - n_left]) < 0
-                    for c in selected for p in c
-                ):
-                    raise ContractViolationError(
-                        f"stage {n}: a matched point became unmatched"
-                    )
-                flips += len(selected)
+                flips += n_flipped
                 sweeps += 1
                 if sweeps > sweep_cap:
                     raise StageDivergenceError(
                         f"stage {n}: exceeded {sweep_cap} sweeps"
+                        " (matcher.sweep_cap)"
                     )
             m.assert_valid()
             s = shortest_chain_length(g, m)

@@ -2,8 +2,9 @@
 
 The little deterministic instances pin down the selection semantics the
 statistics depend on; the randomized blocks cross-check the staged
-engine against Hopcroft-Karp and the fast stage-1 selection, fresh and
-kept across sweeps, against the generic sweep.
+engine against Hopcroft-Karp, the fast stage-1 sweep, fresh and kept
+across sweeps, against the generic sweep, and the engine against
+relabelled copies of its input.
 """
 
 import numpy as np
@@ -36,6 +37,16 @@ def two_pair_trace():
 
 def fresh(g):
     return matching.Matching(g)
+
+
+def copied(m):
+    out = fresh(m.g)
+    out.matchL[:], out.matchR[:] = m.matchL, m.matchR
+    return out
+
+
+def pairs(m):
+    return m.matchL.tolist(), m.matchR.tolist()
 
 
 def test_point_order_left_before_colocated_right():
@@ -243,7 +254,9 @@ def test_find_chains_cap():
         [0] * 5, [0] * 5, [(i, j) for i in range(5) for j in range(5)]
     )
     m = fresh(g)
-    with pytest.raises(ResourceError):
+    with pytest.raises(
+        ResourceError, match=r"more than 3 chains \(matcher\.chain_cap\)"
+    ):
         matching.find_chains(g, m, 4, index_ranks(g), cap=3)
 
 
@@ -251,7 +264,22 @@ def test_run_sweep_cap_diverges():
     # Selection is never empty when chains exist, so force divergence
     # via the sweep cap: stage 1 needs more than one sweep here.
     g = random_instance(derive("div"), 12, 12, edge_prob=0.4)
-    with pytest.raises(StageDivergenceError, match="stage 1: exceeded 1 sweeps"):
+    with pytest.raises(
+        StageDivergenceError, match="stage 1: exceeded 1 sweeps"
+    ) as err:
+        matching.run(g, index_ranks(g), max_stage=1, sweep_cap=1)
+    assert "(matcher.sweep_cap)" in str(err.value)
+
+
+def test_run_sweep_cap_names_its_key_on_the_generic_path(monkeypatch):
+    # Stage 1 sweeps through find_chains above _MAX_KERNEL_POINTS, and
+    # every later stage always does.
+    monkeypatch.setattr(matching, "_MAX_KERNEL_POINTS", 0)
+    g = random_instance(derive("div"), 12, 12, edge_prob=0.4)
+    with pytest.raises(
+        StageDivergenceError,
+        match=r"stage 1: exceeded 1 sweeps \(matcher\.sweep_cap\)",
+    ):
         matching.run(g, index_ranks(g), max_stage=1, sweep_cap=1)
 
 
@@ -386,6 +414,18 @@ def generic_selection(g, m, ranks):
     return matching.select_minimal(chains, ranks)
 
 
+def generic_sweep(m, ranks):
+    """A copy of m after the generic stage-1 sweep, and how many chains
+    that sweep flipped.  Flipping disjoint chains changes exactly the
+    pairs along them, so the matching after the sweep determines the
+    chain set."""
+    out = copied(m)
+    chains = generic_selection(m.g, out, ranks)
+    for c in chains:
+        matching.flip(out, c)
+    return out, len(chains)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.builds(
     seeded_instance, st.integers(0, 10**9), st.integers(1, 36),
@@ -393,18 +433,18 @@ def generic_selection(g, m, ranks):
 ))
 @example(long_path(40))
 def test_kernel_sweep_matches_generic_selection(instance):
-    # Sweep until nothing is selected; at each state a fresh stage-1
-    # object (one array pass) and the generic selection must select the
-    # same chains.
+    # Sweep until nothing is flipped; from each state a fresh stage-1
+    # object (one array sweep) and the generic sweep must flip as many
+    # chains and leave the same matching.
     g, ranks = instance
     m = fresh(g)
     while True:
-        kernel = matching._Stage1(g, m, ranks).select()
-        assert kernel == generic_selection(g, m, ranks)
-        if not kernel:
+        expected, n_chains = generic_sweep(m, ranks)
+        flipped = matching._Stage1(g, m, ranks).sweep()
+        assert flipped == n_chains
+        assert pairs(m) == pairs(expected)
+        if not flipped:
             break
-        for c in kernel:
-            matching.flip(m, c)
 
 
 @settings(max_examples=80, deadline=None)
@@ -423,22 +463,23 @@ def test_kernel_sweep_matches_generic_selection(instance):
 @example(line_instance(6, 5, 1.5), True)
 def test_kept_stage1_state_matches_fresh_and_generic(instance, worklist_only):
     # One stage-1 object kept across the sweeps of a stage, as `run`
-    # keeps it, must select at every sweep what a fresh object and the
-    # generic selection select.  The fallback cutoff is a speed choice,
-    # so with it at 0 every sweep after the first takes the worklist.
+    # keeps it, must flip at every sweep what a fresh object and the
+    # generic sweep flip.  The fallback cutoff is a speed choice, so with
+    # it at 0 every sweep after the first takes the worklist.
     g, ranks = instance
     m = fresh(g)
     kept = matching._Stage1(g, m, ranks)
     if worklist_only:
         kept._FALLBACK = 0
     while True:
-        selected = kept.select()
-        assert selected == matching._Stage1(g, m, ranks).select()
-        assert selected == generic_selection(g, m, ranks)
-        if not selected:
+        expected, n_chains = generic_sweep(m, ranks)
+        once = copied(m)
+        assert matching._Stage1(g, once, ranks).sweep() == n_chains
+        flipped = kept.sweep()
+        assert flipped == n_chains
+        assert pairs(m) == pairs(once) == pairs(expected)
+        if not flipped:
             break
-        for c in selected:
-            matching.flip(m, c)
 
 
 def test_run_keeps_one_stage1_state_and_takes_both_updates(monkeypatch):
@@ -477,17 +518,19 @@ def test_run_keeps_one_stage1_state_and_takes_both_updates(monkeypatch):
 
 
 def test_stage1_kernel_covers_nine_thousand_points(monkeypatch):
-    # Stage 1 selects without find_chains on up to _MAX_KERNEL_POINTS
-    # points, and its first sweep selects what the generic path does;
-    # at 35,000 points the ranks need more than 15 bits.
+    # Stage 1 sweeps without find_chains on up to _MAX_KERNEL_POINTS
+    # points, and its first sweep flips what the generic path does; at
+    # 35,000 points the ranks need more than 15 bits.
     def no_search(*args, **kwargs):
         raise AssertionError("stage 1 called find_chains")
 
     for per_side in (4500, 17_500):
         g, ranks = line_instance(per_side, 19)
         assert g.n_points == 2 * per_side <= matching._MAX_KERNEL_POINTS
-        first = matching._Stage1(g, fresh(g), ranks).select()
-        assert first == generic_selection(g, fresh(g), ranks)
+        m = fresh(g)
+        expected, n_chains = generic_sweep(m, ranks)
+        assert matching._Stage1(g, m, ranks).sweep() == n_chains
+        assert pairs(m) == pairs(expected)
         with monkeypatch.context() as patch:
             patch.setattr(matching, "find_chains", no_search)
             matching.run(g, ranks, max_stage=1)[0].assert_valid()
@@ -573,41 +616,47 @@ def test_run_checks_the_whole_matching_once_per_stage_that_swept(
 
 
 def test_run_rejects_a_flip_that_unmatches_a_chain_point(monkeypatch):
-    # flip writes only its chain's points, so the sweep checks them.
-    real = matching.flip
+    # flip writes only its chain's points, so the sweep checks them.  The
+    # first sweep of the long path writes in arrays; the second takes the
+    # worklist, which flips through `flip`.
+    real, flips = matching.flip, []
 
     def clears_its_pair(m, c):
         real(m, c)
+        flips.append(c)
         i, j = sorted(c[:2])
         m.matchL[i] = m.matchR[j - m.g.n_left] = -1
 
     monkeypatch.setattr(matching, "flip", clears_its_pair)
-    g = two_pair_trace()
+    g, ranks = long_path(40)
     with pytest.raises(
         ContractViolationError,
         match="stage 1: a matched point became unmatched",
     ):
-        matching.run(g, index_ranks(g), max_stage=1)
+        matching.run(g, ranks, max_stage=1)
+    assert len(flips) == 1
 
 
 def test_run_rejects_a_matched_non_edge_at_the_end_of_its_stage(
     monkeypatch,
 ):
-    # Both edges flip in one sweep; the patched flip then crosses the two
-    # pairs, which keeps every point matched and both indexes symmetric.
-    real = matching.flip
-    searches = []
+    # The patched array pass crosses the two edges into L0-R1 and L1-R0,
+    # which keeps every point matched and both indexes symmetric; the
+    # next pass selects nothing.
+    passes, searches = [], []
 
-    def crosses_pairs(m, c):
-        real(m, c)
-        if m.size == 2:
-            m.matchL[:] = m.matchR[:] = [1, 0]
+    def crossed(self):
+        passes.append(1)
+        none = np.empty(0, dtype=np.int64)
+        if len(passes) > 1:
+            return (none,) * 6
+        return np.array([0, 1]), np.array([3, 2]), none, none, none, none
 
     def no_search(*args, **kwargs):
         searches.append(args)
         return []
 
-    monkeypatch.setattr(matching, "flip", crosses_pairs)
+    monkeypatch.setattr(matching._Stage1, "_array_pass", crossed)
     monkeypatch.setattr(matching, "find_chains", no_search)
     g = bipartite.graph_from_point_edges([0, 10], [0, 10], [(0, 0), (1, 1)])
     ranks = matching.point_order(g, np.arange(11, dtype=np.int64))
@@ -642,3 +691,85 @@ def test_flip_rejects_a_step_that_stays_on_one_side():
     with pytest.raises(ContractViolationError, match="stays on one side"):
         matching.flip(m, (0, 1))
     assert (m.matchL == -1).all() and (m.matchR == -1).all()
+
+
+@pytest.mark.parametrize("selection, message", [
+    # Single edges (p, y), then 3-chains (x, b, a, z): p, y, x, b, a, z.
+    (([1, 1], [4, 5], [], [], [], []), "chain repeats a point"),
+    (([1], [2], [], [], [], []), "chain step stays on one side"),
+    (([1], [3], [], [], [], []), "chain endpoint already matched"),
+    (([], [], [1], [5], [0], [4]), "stale chain: expected a matched edge"),
+], ids=["overlap", "same-side", "matched-endpoint", "stale-pair"])
+def test_array_sweep_checks_its_selection_before_writing(
+    monkeypatch, selection, message,
+):
+    # L0-R0 is matched (R0 is point 3); every other point is free.
+    g = bipartite.graph_from_point_edges(
+        [0, 1, 2], [0, 1, 2], [(0, 0), (1, 1), (2, 2)]
+    )
+    m = fresh(g)
+    matching.flip(m, (0, 3))
+    before = pairs(m)
+    monkeypatch.setattr(
+        matching._Stage1, "_array_pass",
+        lambda self: tuple(np.array(a, dtype=np.int64) for a in selection),
+    )
+    with pytest.raises(ContractViolationError, match=message):
+        matching._Stage1(g, m, index_ranks(g)).sweep()
+    assert pairs(m) == before
+
+
+def relabelled(g, ranks, rng):
+    """g with left ids permuted by pi_l and right ids by pi_r, the ranks
+    carried along, and pi_l, pi_r."""
+    pi_l, pi_r = rng.permutation(g.n_left), rng.permutation(g.n_right)
+    edges = [
+        (int(pi_l[i]), int(pi_r[j]))
+        for i in range(g.n_left) for j in g.right_neighbors(i)
+    ]
+    left = np.empty(g.n_left, dtype=np.int64)
+    right = np.empty(g.n_right, dtype=np.int64)
+    left[pi_l], right[pi_r] = g.left_vertex, g.right_vertex
+    image = bipartite.graph_from_point_edges(left, right, edges)
+    moved = np.empty_like(ranks)
+    moved[np.concatenate((pi_l, g.n_left + pi_r))] = ranks
+    return image, moved, pi_l, pi_r
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.builds(
+        seeded_instance, st.integers(0, 10**9), st.integers(1, 30),
+        st.integers(1, 30), st.floats(0.02, 0.6),
+    ),
+    st.builds(long_path, st.integers(1, 60)),
+    st.builds(
+        line_instance, st.integers(2, 300), st.integers(0, 10**9),
+        st.floats(0.5, 4.0),
+    ),
+), st.integers(0, 10**9))
+@example(long_path(40), 1)
+@example(colocated_instance(), 2)
+@example(line_instance(27, 1, 2.0), 0)
+def test_run_is_equivariant_under_relabelling(instance, seed):
+    # The engine reads point ids only through the ranks: relabelling the
+    # left and the right points and carrying the ranks along must map the
+    # matching onto its image and leave every report count alone.
+    def counts(reports):
+        return [
+            (r.stage, r.sweeps, r.flips, r.unmatched_left, r.unmatched_right,
+             r.shortest_chain)
+            for r in reports
+        ]
+
+    g, ranks = instance
+    image, moved, pi_l, pi_r = relabelled(
+        g, ranks, np.random.default_rng(seed)
+    )
+    m, reports, _ = matching.run(g, ranks)
+    m_image, reports_image, _ = matching.run(image, moved)
+    expected = np.full(g.n_left, -1, dtype=np.int64)
+    matched = m.matchL >= 0
+    expected[pi_l[matched]] = pi_r[m.matchL[matched]]
+    assert m_image.matchL.tolist() == expected.tolist()
+    assert counts(reports_image) == counts(reports)
