@@ -71,9 +71,11 @@ def run_depth(depth, trials, seed, out, max_stage):
         ]) + "\n"
     )
 
+    # JSON has no nan: an undefined slope (a tail with fewer than two
+    # positive estimates) is written as null.
     return {
         "n_vertices": window.n,
-        "tail_slope": curve.slope,
+        "tail_slope": None if np.isnan(curve.slope) else curve.slope,
         "tail": list(curve.estimates),
         "fitted_ratio_mean": float(np.mean([d.fitted_ratio for d in decays])),
         "component_max_size": comp_max,
@@ -101,14 +103,15 @@ def main():
             print(f"error: {exc}", file=sys.stderr)
             sys.exit(2)
         s = summary[str(depth)]
+        slope = float("nan") if s["tail_slope"] is None else s["tail_slope"]
         print(
-            f"depth {depth}: n={s['n_vertices']} tail_slope={s['tail_slope']:+.4f} "
+            f"depth {depth}: n={s['n_vertices']} tail_slope={slope:+.4f} "
             f"p_n_ratio={s['fitted_ratio_mean']:.3f} "
             f"component_max={s['component_max_size']} "
             f"live_max={s['component_max_live_size']}"
         )
     (args.out / "trends.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n"
+        json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
     )
 
 

@@ -16,6 +16,9 @@ BFS (Hopcroft & Karp 1973).  s is computed once for the empty matching
 and once per stage that swept; a stage with s >= 4n searches nothing and
 gets a zero-sweep report.  The chain search cuts every branch that the
 reverse BFS from the chain ends shows cannot finish below 4n edges.
+That BFS also yields s, and it depends only on the matching, so a run
+computes it once per matching: a stage's closing certificate, its empty
+last search and the next stage's first search share one result.
 
 Chains are compared by an endpoint-first key: the ranks of the two
 endpoints (smaller first), then the ranks of the interior points read
@@ -93,6 +96,8 @@ class Matching:
         self.g = g
         self.matchL = np.full(g.n_left, -1, dtype=np.int64)
         self.matchR = np.full(g.n_right, -1, dtype=np.int64)
+        # (copy of matchR, _steps_to_ends on it): the last backwards BFS.
+        self._steps: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def size(self) -> int:
@@ -171,7 +176,7 @@ def find_chains(
         return chains
     # to_end[p] bounds every completion through left p from below, so the
     # DFS enters no branch that cannot finish within max_points.
-    to_end = _steps_to_ends(g, partners, ends).tolist()
+    to_end = _steps_once(g, m, partners, ends).tolist()
     match_l, match_r = m.matchL.tolist(), m.matchR.tolist()
 
     for root in np.flatnonzero(m.matchL == -1).tolist():
@@ -230,40 +235,53 @@ def select_minimal(
     ]
 
 
+def _check_chain(c: tuple[int, ...], n_left: int, partner) -> None:
+    """Raise ContractViolationError unless c is a chain of the matching
+    that `partner` describes (point -> partner point, -1 when unmatched):
+    an odd edge count, alternating sides, unmatched ends, no repeated
+    point, and every second edge matched."""
+    if len(c) < 2 or len(c) % 2 != 0:
+        raise ContractViolationError("chain must have an odd edge count")
+    for p, q in zip(c, c[1:]):
+        if (p < n_left) == (q < n_left):
+            raise ContractViolationError("chain step stays on one side")
+    if partner[c[0]] != -1 or partner[c[-1]] != -1:
+        raise ContractViolationError("chain endpoint already matched")
+    if len(set(c)) != len(c):
+        raise ContractViolationError("chain repeats a point")
+    for k in range(len(c) - 1):
+        is_matched = partner[c[k]] == c[k + 1]
+        if k % 2 == 0 and is_matched:
+            raise ContractViolationError("stale chain: matched edge out of place")
+        if k % 2 == 1 and not is_matched:
+            raise ContractViolationError("stale chain: expected a matched edge")
+
+
+def _write_pairs(m: Matching, c: tuple[int, ...]) -> None:
+    """Match the points of a checked chain in pairs, first to second:
+    every point gets a new partner, so no old pair needs clearing."""
+    n_left = m.g.n_left
+    for p, q in zip(c[::2], c[1::2]):
+        i, j = (p, q - n_left) if p < n_left else (q, p - n_left)
+        m.matchL[i], m.matchR[j] = j, i
+
+
 def flip(m: Matching, c: tuple[int, ...]) -> None:
     """Apply a chain: matched edges leave, the others enter.
 
     Validates the chain against the current matching before writing
     anything; a stale or malformed chain is a contract violation.
     """
-    if len(c) < 2 or len(c) % 2 != 0:
-        raise ContractViolationError("chain must have an odd edge count")
     n_left = m.g.n_left
-    if any((p < n_left) == (q < n_left) for p, q in zip(c, c[1:])):
-        raise ContractViolationError("chain step stays on one side")
 
-    def as_pair(p: int, q: int) -> tuple[int, int]:
-        if p < n_left:
-            return p, q - n_left
-        return q, p - n_left
+    def partner(p: int) -> int:
+        if p >= n_left:
+            return int(m.matchR[p - n_left])
+        j = int(m.matchL[p])
+        return j + n_left if j >= 0 else -1
 
-    for p in (c[0], c[-1]):
-        if (m.matchL[p] if p < n_left else m.matchR[p - n_left]) != -1:
-            raise ContractViolationError("chain endpoint already matched")
-    if len(set(c)) != len(c):
-        raise ContractViolationError("chain repeats a point")
-
-    edges = [as_pair(c[k], c[k + 1]) for k in range(len(c) - 1)]
-    for k, (i, j) in enumerate(edges):
-        is_matched = m.matchL[i] == j
-        if k % 2 == 0 and is_matched:
-            raise ContractViolationError("stale chain: matched edge out of place")
-        if k % 2 == 1 and not is_matched:
-            raise ContractViolationError("stale chain: expected a matched edge")
-    for i, j in edges[1::2]:
-        m.matchL[i] = m.matchR[j] = -1
-    for i, j in edges[0::2]:
-        m.matchL[i], m.matchR[j] = j, i
+    _check_chain(c, n_left, {p: partner(p) for p in c})
+    _write_pairs(m, c)
 
 
 def _chain_ends(g: MatchGraph, m: Matching) -> tuple[np.ndarray, np.ndarray]:
@@ -292,6 +310,17 @@ def _steps_to_ends(
     )
 
 
+def _steps_once(
+    g: MatchGraph, m: Matching, partner: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """`_steps_to_ends` for m's current matching, computed once per
+    matching: the result is kept on m, keyed by a copy of matchR, which
+    determines partner and ends."""
+    if m._steps is None or not np.array_equal(m._steps[0], m.matchR):
+        m._steps = (m.matchR.copy(), _steps_to_ends(g, partner, ends))
+    return m._steps[1]
+
+
 def shortest_chain_length(g: MatchGraph, m: Matching) -> int | None:
     """Edge count of the shortest chain, or None when no chain exists:
     2d + 1 for the fewest steps d from an unmatched left point to a chain
@@ -305,7 +334,7 @@ def shortest_chain_length(g: MatchGraph, m: Matching) -> int | None:
         return None
     if ends[sources].any():
         return 1
-    d = _steps_to_ends(g, partner, ends)[sources].min()
+    d = _steps_once(g, m, partner, ends)[sources].min()
     return 2 * int(d) + 1 if np.isfinite(d) else None
 
 
@@ -349,19 +378,16 @@ def _pack(u: int, i: int, j: int, w: int) -> int:
     return (u << (2 * _FIELD_BITS)) | (w << _FIELD_BITS) | (i + 1)
 
 
-def _flip_each(m: Matching, chains: list, stage: int) -> None:
-    """Flip point-disjoint chains one at a time, then check that their
-    points are matched: flip writes no other point."""
-    for c in chains:
-        flip(m, c)
+def _check_matched(m: Matching, chains: list, stage: int) -> None:
+    """Raise unless every point of the flipped chains is matched: a flip
+    writes no other point."""
     n_left, match_l, match_r = m.g.n_left, m.matchL, m.matchR
-    if any(
-        (match_l[p] if p < n_left else match_r[p - n_left]) < 0
-        for c in chains for p in c
-    ):
-        raise ContractViolationError(
-            f"stage {stage}: a matched point became unmatched"
-        )
+    for c in chains:
+        for p in c:
+            if (match_l[p] if p < n_left else match_r[p - n_left]) < 0:
+                raise ContractViolationError(
+                    f"stage {stage}: a matched point became unmatched"
+                )
 
 
 class _Stage1:
@@ -383,9 +409,10 @@ class _Stage1:
     assumes that only the sweep before it changed the matching, and
     recomputes the state only on the points those flips can reach; in
     stage 1 a matched point never becomes free, so every other point's
-    inputs are unchanged.  It flips its few chains through `flip`.  When
-    the flipped points carry many edges, the array pass runs again
-    instead.
+    inputs are unchanged.  It flips its few chains itself, after the
+    checks `flip` makes: on its own partner list and by scalar writes to
+    matchL and matchR.  When the flipped points carry many edges, the
+    array pass runs again instead.
     """
 
     #: The array pass reruns when _FALLBACK * sum(deg**2) over the
@@ -407,8 +434,9 @@ class _Stage1:
         self.rank_nbr = ranks[self.nbr]
         self.rank_to_pid = np.empty(n, dtype=np.int64)
         self.rank_to_pid[ranks] = np.arange(n, dtype=np.int64)
-        # The points the last sweep flipped; None: the array pass is next.
-        self._flipped: list[int] | None = None
+        # The end and interior points of the chains the last sweep
+        # flipped; None: the array pass is next.
+        self._flipped: tuple[list[int], list[int]] | None = None
         # Per-point state (partner, ext, key1, key_pair, key3, best): as
         # arrays right after an array pass, as lists once a worklist
         # update has taken them over.
@@ -425,18 +453,23 @@ class _Stage1:
         if self._flipped is None:
             selection = self._array_pass()
             self._write(*selection)
-            points = np.concatenate(selection)
-            d = self.deg[points]
-            n_chains = len(selection[0]) + len(selection[4])
-            cost, flipped = int(d @ d), points.tolist()
+            p, y, x, b, a, z = selection
+            d = self.deg[np.concatenate(selection)]
+            n_chains, cost = len(p) + len(x), int(d @ d)
+            ends = np.concatenate((p, y, x, z)).tolist()
+            inner = np.concatenate((b, a)).tolist()
         else:
             chains = self._worklist(self._flipped)
-            _flip_each(self.m, chains, 1)
+            for c in chains:
+                self._write_chain(c)
+            _check_matched(self.m, chains, 1)
             deg = self._deg
-            flipped = [p for c in chains for p in c]
-            n_chains, cost = len(chains), sum(deg[p] ** 2 for p in flipped)
+            ends = [p for c in chains for p in (c[0], c[-1])]
+            inner = [p for c in chains for p in c[1:-1]]
+            n_chains = len(chains)
+            cost = sum(deg[p] ** 2 for p in ends + inner)
         self._flipped = (
-            None if self._FALLBACK * cost > len(self.nbr) else flipped
+            None if self._FALLBACK * cost > len(self.nbr) else (ends, inner)
         )
         return n_chains
 
@@ -444,11 +477,8 @@ class _Stage1:
         """Every point's state and the selection, one array expression
         per rule: the single edges p-y and the 3-chains x-b-a-z, left
         p, x and a, as index arrays (p, y, x, b, a, z)."""
-        m, ranks = self.m, self.ranks
-        n_left = self.n_left
-        partner = np.concatenate(
-            (np.where(m.matchL >= 0, m.matchL + n_left, -1), m.matchR)
-        )
+        ranks, n_left = self.ranks, self.n_left
+        partner = self._partners()
         free = partner < 0
         via = partner[self.nbr]
         # ext[p]: the smallest rank among p's unmatched neighbors.
@@ -487,8 +517,9 @@ class _Stage1:
         after the checks `flip` makes on each chain."""
         m, n_left = self.m, self.n_left
         left, right = np.concatenate((p, x, a)), np.concatenate((y, b, z))
-        points = np.concatenate((left, right))
-        if len(np.unique(points)) < len(points):
+        seen = np.zeros(len(self.deg), dtype=bool)
+        seen[np.concatenate((left, right))] = True
+        if np.count_nonzero(seen) < len(left) + len(right):
             raise ContractViolationError("chain repeats a point")
         if (left >= n_left).any() or (right < n_left).any():
             raise ContractViolationError("chain step stays on one side")
@@ -508,64 +539,81 @@ class _Stage1:
                 "stage 1: a matched point became unmatched"
             )
 
-    def _worklist(self, flipped: list[int]) -> list[tuple[int, ...]]:
-        """The state and the selection refreshed after flipping the points
-        `flipped`, over Python lists; the chains in no particular order.
+    def _partners(self) -> np.ndarray:
+        """Each point's partner point, -1 when unmatched."""
+        m = self.m
+        return np.concatenate(
+            (np.where(m.matchL >= 0, m.matchL + self.n_left, -1), m.matchR)
+        )
 
-        With E the flipped points that were free before the flip, N the
-        neighbors and P the partners: partner changes on the flipped
-        points; ext and key1 on N(E); key_pair on the flipped points,
-        N(E) and P(N(E)); key3 of a free point on N(flipped + P(N(E))).
-        D, the points whose state changed, is their union, and only a
-        chain listed from a left point of D + N(D) + P(N(D)) can read
-        any of it.
+    def _write_chain(self, c: tuple[int, ...]) -> None:
+        """Flip one worklist chain on the kernel's partner list and on
+        matchL/matchR, after the checks `flip` makes."""
+        partner = self._lists[0]
+        _check_chain(c, self.n_left, partner)
+        for p, q in zip(c[::2], c[1::2]):
+            partner[p], partner[q] = q, p
+        _write_pairs(self.m, c)
+
+    def _worklist(
+        self, flipped: tuple[list[int], list[int]]
+    ) -> list[tuple[int, ...]]:
+        """The state and the selection refreshed after the last sweep
+        flipped chains with end points and interior points `flipped`,
+        over Python lists; the chains in no particular order.
+
+        With F the flipped points, E their ends (free before the flip), N
+        the neighbors and P the partners: partner changed on F, where the
+        writer has set it; ext and key1 change on N(E); key_pair on F,
+        N(E) and P(N(E)); key3 of a free point on N(F + P(N(E))).  D, the
+        points whose state changed, is their union, and only a chain
+        listed from a left point of D + N(D) + P(N(D)) can read any of it.
         """
         if self._arrays is not None:
-            self._lists = [a.tolist() for a in self._arrays]
+            # The array pass took partner before its own write.
+            self._lists = [self._partners().tolist()]
+            self._lists += [a.tolist() for a in self._arrays[1:]]
             self._arrays = None
         partner, ext, key1, key_pair, key3, best = self._lists
         ptr, nbr, rank, rank_to_pid = self._graph_lists
-        n_left = self.n_left
-        match_l, match_r = self.m.matchL, self.m.matchR
+        n_left, (ends, inner) = self.n_left, flipped
 
-        newly = [p for p in flipped if partner[p] < 0]
-        for p in flipped:
-            if p < n_left:
-                q = int(match_l[p])
-                partner[p] = q + n_left if q >= 0 else -1
-            else:
-                partner[p] = int(match_r[p - n_left])
         near = set()
-        for p in newly:
+        for p in ends:
             near.update(nbr[ptr[p]:ptr[p + 1]])
         for p in near:
-            ext[p] = min(
-                (rank[q] for q in nbr[ptr[p]:ptr[p + 1]] if partner[q] < 0),
-                default=INF_KEY,
-            )
-            key1[p] = _pack(rank[p], -1, -1, ext[p])
+            e = INF_KEY
+            for q in nbr[ptr[p]:ptr[p + 1]]:
+                if partner[q] < 0 and rank[q] < e:
+                    e = rank[q]
+            ext[p] = e
+            key1[p] = _pack(rank[p], -1, -1, e)
         near_partners = {partner[p] for p in near if partner[p] >= 0}
-        changed = set(flipped) | near | near_partners
+        flipped_points = set(ends).union(inner)
+        changed = flipped_points | near | near_partners
         for p in changed:
             q = partner[p]
             if q >= 0:
                 key_pair[p] = _pack(ext[q], rank[q], rank[p], ext[p])
         rows = set()
-        for q in set(flipped) | near_partners:
+        for q in flipped_points | near_partners:
             rows.update(nbr[ptr[q]:ptr[q + 1]])
         for p in rows:
             if partner[p] < 0:
-                key3[p] = min(
-                    (_pack(rank[p], rank[q], rank[v], ext[v])
-                     for q in nbr[ptr[p]:ptr[p + 1]]
-                     if (v := partner[q]) >= 0),
-                    default=INF_KEY,
-                )
+                k, r = INF_KEY, rank[p]
+                for q in nbr[ptr[p]:ptr[p + 1]]:
+                    v = partner[q]
+                    if v >= 0:
+                        c = _pack(r, rank[q], rank[v], ext[v])
+                        if c < k:
+                            k = c
+                key3[p] = k
                 changed.add(p)
         for p in changed:
-            best[p] = (
-                key_pair[p] if partner[p] >= 0 else min(key1[p], key3[p])
-            )
+            if partner[p] >= 0:
+                best[p] = key_pair[p]
+            else:
+                best[p] = key1[p] if key1[p] < key3[p] else key3[p]
 
         listed = set(changed)
         for p in changed:
@@ -670,7 +718,9 @@ def run(
                         cap=chain_cap, stage_label=f"stage {n}",
                     )
                     selected = select_minimal(chains, ranks)
-                    _flip_each(m, selected, n)
+                    for c in selected:
+                        flip(m, c)
+                    _check_matched(m, selected, n)
                     n_flipped = len(selected)
                 if not n_flipped:
                     break
@@ -699,6 +749,7 @@ def run(
             wall, s,
         ))
         snapshots.append(snap)
+    m._steps = None  # the BFS result serves this run only
     return m, reports, snapshots
 
 

@@ -514,6 +514,28 @@ def test_trend_report_rejects_zero_trials(tmp_path):
     assert not (tmp_path / "trends.json").exists()
 
 
+def test_trend_report_writes_strict_json(tmp_path):
+    # At depth 4 the tail has one positive estimate, so its slope is
+    # undefined: trends.json says null there, which a strict parser reads.
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "trend_report.py"),
+         "--depths", "4", "5", "--trials", "2", "--out", str(tmp_path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+    def refuse(name):
+        raise ValueError(f"trends.json holds {name}")
+
+    trends = json.loads(
+        (tmp_path / "trends.json").read_text(), parse_constant=refuse
+    )
+    assert trends["4"]["tail_slope"] is None
+    assert trends["5"]["tail_slope"] == 0.0
+
+
 def test_unknown_experiment_exits_with_error(tmp_path, capsys):
     rc = cli.main(
         ["verify", "--set", "run.experiments=nope",

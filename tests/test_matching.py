@@ -7,6 +7,8 @@ across sweeps, against the generic sweep, and the engine against
 relabelled copies of its input.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -616,18 +618,19 @@ def test_run_checks_the_whole_matching_once_per_stage_that_swept(
 
 
 def test_run_rejects_a_flip_that_unmatches_a_chain_point(monkeypatch):
-    # flip writes only its chain's points, so the sweep checks them.  The
-    # first sweep of the long path writes in arrays; the second takes the
-    # worklist, which flips through `flip`.
-    real, flips = matching.flip, []
+    # A flip writes only its chain's points, so the sweep checks them in
+    # matchL and matchR.  The first sweep of the long path writes in
+    # arrays; the second takes the worklist, whose writer here clears a
+    # pair in the matching behind the kernel's partner list.
+    real, flips = matching._Stage1._write_chain, []
 
-    def clears_its_pair(m, c):
-        real(m, c)
+    def clears_its_pair(self, c):
+        real(self, c)
         flips.append(c)
         i, j = sorted(c[:2])
-        m.matchL[i] = m.matchR[j - m.g.n_left] = -1
+        self.m.matchL[i] = self.m.matchR[j - self.n_left] = -1
 
-    monkeypatch.setattr(matching, "flip", clears_its_pair)
+    monkeypatch.setattr(matching._Stage1, "_write_chain", clears_its_pair)
     g, ranks = long_path(40)
     with pytest.raises(
         ContractViolationError,
@@ -719,6 +722,65 @@ def test_array_sweep_checks_its_selection_before_writing(
     assert pairs(m) == before
 
 
+@pytest.mark.parametrize("chain, message", [
+    ((1, 4, 1, 5), "chain repeats a point"),
+    ((1, 2), "chain step stays on one side"),
+    ((1, 3), "chain endpoint already matched"),
+    ((1, 5, 0, 4), "stale chain: expected a matched edge"),
+], ids=["overlap", "same-side", "matched-endpoint", "stale-pair"])
+def test_worklist_sweep_checks_each_chain_before_writing(
+    monkeypatch, chain, message,
+):
+    # The graph and matching of the array-sweep cases: L0-R0 is matched
+    # (R0 is point 3), every other point is free.  The kernel's next
+    # sweep takes the worklist, which here selects one bad chain.
+    g = bipartite.graph_from_point_edges(
+        [0, 1, 2], [0, 1, 2], [(0, 0), (1, 1), (2, 2)]
+    )
+    m = fresh(g)
+    matching.flip(m, (0, 3))
+    before = pairs(m)
+    kernel = matching._Stage1(g, m, index_ranks(g))
+    kernel._array_pass()
+    kernel._flipped = ([], [])
+    real = matching._Stage1._worklist
+
+    def selects_the_bad_chain(self, flipped):
+        real(self, flipped)  # takes the kernel's state over as lists
+        return [chain]
+
+    monkeypatch.setattr(matching._Stage1, "_worklist", selects_the_bad_chain)
+    with pytest.raises(ContractViolationError, match=message):
+        kernel.sweep()
+    assert pairs(m) == before
+    assert kernel._lists[0] == [3, -1, -1, 0, -1, -1]
+
+
+def test_run_searches_each_matching_once(monkeypatch):
+    # The backwards BFS depends only on the matching, so one run computes
+    # it once per matching: a stage's closing certificate, its empty last
+    # search and the next stage's first search share one result.  The
+    # long path needs it once, after stage 1, for the one search of the
+    # stage that flips the whole path.
+    real, seen = matching._steps_to_ends, []
+
+    def spy(g, partner, ends):
+        seen.append(partner.tobytes())
+        return real(g, partner, ends)
+
+    monkeypatch.setattr(matching, "_steps_to_ends", spy)
+    matching.run(*long_path(60))
+    assert len(seen) == 1
+    for g, ranks in (
+        line_instance(2800, 1), line_instance(150, 9, 2.5),
+        colocated_instance(),
+        *(seeded_instance(seed, 30, 30, 0.1) for seed in range(4)),
+    ):
+        seen.clear()
+        matching.run(g, ranks)
+        assert len(seen) == len(set(seen))
+
+
 def relabelled(g, ranks, rng):
     """g with left ids permuted by pi_l and right ids by pi_r, the ranks
     carried along, and pi_l, pi_r."""
@@ -773,3 +835,26 @@ def test_run_is_equivariant_under_relabelling(instance, seed):
     expected[pi_l[matched]] = pi_r[m.matchL[matched]]
     assert m_image.matchL.tolist() == expected.tolist()
     assert counts(reports_image) == counts(reports)
+
+
+def test_matcher_outputs_are_pinned():
+    # One sha256 over matchL, every report field but wall_s and every
+    # snapshot of `run`, on the long paths, line graphs of the benchmark's
+    # shape (2,800 points a side, reach 1.5) and smaller random instances.
+    # The size check against Hopcroft-Karp allows any maximum matching;
+    # this pins which one the engine returns.
+    instances = [long_path(400), long_path(1200), colocated_instance()]
+    instances += [line_instance(2800, seed) for seed in (1, 2, 3)]
+    instances += [line_instance(300, 7, 2.5)]
+    instances += [seeded_instance(seed, 30, 30, 0.15) for seed in range(6)]
+    h = hashlib.sha256()
+    for g, ranks in instances:
+        m, reports, snapshots = matching.run(g, ranks)
+        h.update(m.matchL.astype("<i8").tobytes())
+        for r in reports:
+            h.update(repr(r._replace(wall_s=0.0)).encode())
+        for snap in snapshots:
+            h.update(snap.astype("<i8").tobytes())
+    assert h.hexdigest() == (
+        "fd601f2cf59c1eabc802a2f228cf7f39db871b63d44642cbbe3b9fbb9b0ea515"
+    )
