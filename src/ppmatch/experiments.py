@@ -19,7 +19,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -78,6 +78,13 @@ class PipelineResult:
     @property
     def live_vertices(self) -> np.ndarray:
         return ~(self.field_left.censored | self.field_right.censored)
+
+    @cached_property
+    def censor_free_core(self) -> np.ndarray:
+        """The core vertices of uncensored left radius: the base that
+        tail and hole averages share."""
+        w = self.window
+        return w.ball_ok(w.core_margin) & ~self.field_left.censored
 
 
 def sample_radius_fields(
@@ -230,8 +237,7 @@ def tail_row(
     points only.
     """
     dist, vert = res.left_distance, res.graph.left_vertex
-    w = res.window
-    core_ok = w.ball_ok(w.core_margin) & ~res.field_left.censored
+    core_ok = res.censor_free_core
     n_base = int(core_ok.sum())
     if n_base == 0:
         return np.zeros(len(radii_list)), 0
@@ -385,9 +391,8 @@ def _dominance_trial(res: PipelineResult, radii_list: list[int]):
     tails, n_base = tail_row(res, radii_list, unmatched_as_infinite=True)
     if not n_base:
         return None
-    w = res.window
-    base = w.ball_ok(w.core_margin) & ~res.field_left.censored
-    near = w.dist_from(res.right.support, max(radii_list))[base]
+    base = res.censor_free_core
+    near = res.window.dist_from(res.right.support, max(radii_list))[base]
     holes = [int(np.count_nonzero(near > r)) / n_base for r in radii_list]
     return tails, holes
 
@@ -664,13 +669,6 @@ def verify_discrepancy(
 # ---------------------------------------------------------------------------
 
 
-def set_distance(window: GraphWindow, a, b) -> int:
-    """Least distance between the two vertex sets (UNREACHABLE when no
-    path joins them)."""
-    row = window.dist_from(list(a))
-    return int(row[np.asarray(list(b), dtype=np.int64)].min())
-
-
 def is_rconnected(window: GraphWindow, vertices, r: int) -> bool:
     """Connectivity of the proximity graph joining members at distance
     <= r."""
@@ -769,10 +767,9 @@ def greedy_sparse_subpath(
         for a, b in zip(selected, selected[1:])
     )
     first, last = selected[0], selected[-1]
-    d_u = set_distance(window, [u], sets[first])
-    d_v = set_distance(window, [v], sets[last])
-    endpoint_ok = (
-        d_u <= len(sets[first]) + r and d_v <= len(sets[last]) + r
+    endpoint_ok = bool(
+        rows[first][u] <= len(sets[first]) + r
+        and rows[last][v] <= len(sets[last]) + r
     )
     duv = int(window.distance(u, v))
     bound = 3 * r * len(selected) + 3 * sum(len(sets[i]) for i in selected)

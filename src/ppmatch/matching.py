@@ -1,9 +1,9 @@
 """Staged chain-flipping matching engine.
 
 A chain is a simple alternating path joining two unmatched points, held
-as the tuple of its point ids read from the endpoint of smaller rank; its
-edge count is odd, and flipping it (remove the matched edges, insert the
-others) matches both endpoints and leaves every other point's state
+as the tuple of its point ids its search found, read from its left end;
+its edge count is odd, and flipping it (remove the matched edges, insert
+the others) matches both endpoints and leaves every other point's state
 untouched.  Stage n repeatedly finds all chains shorter than 4n, keeps
 those that are minimal for every point they touch, and flips the kept
 chains simultaneously, until none remain.
@@ -20,7 +20,8 @@ That BFS also yields s, and it depends only on the matching, so a run
 computes it once per matching: a stage's closing certificate, its empty
 last search and the next stage's first search share one result.
 
-Chains are compared by an endpoint-first key: the ranks of the two
+Chains are compared by an endpoint-first key, the one place that reads
+a chain from its endpoint of smaller rank: the ranks of the two
 endpoints (smaller first), then the ranks of the interior points read
 from the smaller endpoint.  A shorter chain with the same endpoints
 precedes any longer one, which is what lets co-located pairs win over
@@ -96,7 +97,7 @@ class Matching:
         self.g = g
         self.matchL = np.full(g.n_left, -1, dtype=np.int64)
         self.matchR = np.full(g.n_right, -1, dtype=np.int64)
-        # (copy of matchR, _steps_to_ends on it): the last backwards BFS.
+        # (copy of matchR, _steps_once's result on it): the last BFS.
         self._steps: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -129,34 +130,27 @@ class Matching:
             raise ContractViolationError("match index counts disagree")
 
 
-def canonical(path: list[int], ranks: np.ndarray) -> tuple[int, ...]:
-    """A chain as the tuple of its global pids (right local j is nL + j),
-    read from the endpoint of smaller rank."""
-    if ranks[path[0]] <= ranks[path[-1]]:
-        return tuple(path)
-    return tuple(reversed(path))
-
-
 def chain_key(c: tuple[int, ...], ranks: np.ndarray) -> tuple[int, ...]:
-    """Endpoint-first comparison key; tuples compare lexicographically,
-    so equal-endpoint shorter chains sort first."""
-    return (
-        int(ranks[c[0]]),
-        int(ranks[c[-1]]),
-        *(int(ranks[p]) for p in c[1:-1]),
-    )
+    """Endpoint-first comparison key of a chain in either direction: its
+    point ranks read from the endpoint of smaller rank, the far endpoint
+    moved up second.  Tuples compare lexicographically, so
+    equal-endpoint shorter chains sort first."""
+    r = [int(ranks[p]) for p in c]
+    if r[0] > r[-1]:
+        r.reverse()
+    return (r[0], r[-1], *r[1:-1])
 
 
 def find_chains(
     g: MatchGraph,
     m: Matching,
     max_len: int,
-    ranks: np.ndarray,
     *,
     cap: int = CHAIN_CAP,
     stage_label: str = "chain search",
 ) -> list[tuple[int, ...]]:
-    """Every chain with fewer than max_len edges, each exactly once.
+    """Every chain with fewer than max_len edges, each exactly once, as
+    the tuple of its point ids read from its unmatched left end.
 
     Depth-bounded alternating DFS from each unmatched left point, cut
     where no chain can finish below max_len edges; a chain has a unique
@@ -169,19 +163,19 @@ def find_chains(
         return []
     max_edges = max_len - 1 if max_len % 2 == 0 else max_len - 2
     max_points = max_edges + 1
+    # to_end[p] bounds every completion through left p from below, so the
+    # DFS takes no root and enters no branch that cannot finish within
+    # max_points.
+    steps = _steps_once(g, m)
+    roots = np.flatnonzero((m.matchL == -1) & (2 * steps + 2 <= max_points))
+    if not len(roots):
+        return []
+    to_end = steps.tolist()
+    match_l, match_r = m.matchL.tolist(), m.matchR.tolist()
     n_left = g.n_left
     chains: list[tuple[int, ...]] = []
-    partners, ends = _chain_ends(g, m)
-    if not ends.any():
-        return chains
-    # to_end[p] bounds every completion through left p from below, so the
-    # DFS enters no branch that cannot finish within max_points.
-    to_end = _steps_once(g, m, partners, ends).tolist()
-    match_l, match_r = m.matchL.tolist(), m.matchR.tolist()
 
-    for root in np.flatnonzero(m.matchL == -1).tolist():
-        if 2 * to_end[root] + 2 > max_points:
-            continue
+    for root in roots.tolist():
         path, onpath = [root], {root}
         stack = [iter(g.right_neighbors(root).tolist())]
         while stack:
@@ -192,7 +186,7 @@ def find_chains(
                     continue
                 partner = match_r[j]
                 if partner == -1:
-                    chains.append(canonical(path + [jg], ranks))
+                    chains.append((*path, jg))
                     if len(chains) > cap:
                         raise ResourceError(
                             f"{stage_label}: more than {cap} chains"
@@ -310,14 +304,17 @@ def _steps_to_ends(
     )
 
 
-def _steps_once(
-    g: MatchGraph, m: Matching, partner: np.ndarray, ends: np.ndarray
-) -> np.ndarray:
-    """`_steps_to_ends` for m's current matching, computed once per
-    matching: the result is kept on m, keyed by a copy of matchR, which
-    determines partner and ends."""
+def _steps_once(g: MatchGraph, m: Matching) -> np.ndarray:
+    """`_steps_to_ends` for m's current matching (all inf when no chain
+    can end), computed once per matching: the result is kept on m, keyed
+    by a copy of matchR, which determines partner and ends."""
     if m._steps is None or not np.array_equal(m._steps[0], m.matchR):
-        m._steps = (m.matchR.copy(), _steps_to_ends(g, partner, ends))
+        partner, ends = _chain_ends(g, m)
+        steps = (
+            _steps_to_ends(g, partner, ends) if ends.any()
+            else np.full(g.n_left, np.inf)
+        )
+        m._steps = (m.matchR.copy(), steps)
     return m._steps[1]
 
 
@@ -328,13 +325,12 @@ def shortest_chain_length(g: MatchGraph, m: Matching) -> int | None:
     such walk is the shortest chain.
     """
     sources = m.matchL == -1
-    partner, ends = _chain_ends(g, m)
     # The two cheap answers skip the BFS.
-    if not (sources.any() and ends.any()):
+    if not sources.any():
         return None
-    if ends[sources].any():
+    if _chain_ends(g, m)[1][sources].any():
         return 1
-    d = _steps_once(g, m, partner, ends)[sources].min()
+    d = _steps_once(g, m)[sources].min()
     return 2 * int(d) + 1 if np.isfinite(d) else None
 
 
@@ -714,8 +710,7 @@ def run(
                     n_flipped = kernel.sweep()
                 else:
                     chains = find_chains(
-                        g, m, 4 * n, ranks,
-                        cap=chain_cap, stage_label=f"stage {n}",
+                        g, m, 4 * n, cap=chain_cap, stage_label=f"stage {n}"
                     )
                     selected = select_minimal(chains, ranks)
                     for c in selected:

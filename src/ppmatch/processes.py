@@ -218,9 +218,10 @@ def sample(spec: ProcessSpec, window: GraphWindow, seed: int) -> PointMultiset:
     draw a displacement distance from the law, and land uniformly on the
     infinite-graph sphere at that distance (the exact in-graph sphere
     for explicit families); landings outside the window are discarded
-    and counted, which keeps core counts unbiased as long as the core
-    margin is at least the maximum displacement.  Every per-vertex draw
-    is one batched call over the window's label keys.
+    and counted, which keeps core counts unbiased as long as every core
+    vertex's ball of the maximum displacement lies in the window (always,
+    on an explicit window).  Every per-vertex draw is one batched call
+    over the window's label keys.
     """
     if spec.kind == POISSON:
         u = unit_uniform_many(seed, "count", window.label_keys)
@@ -229,7 +230,7 @@ def sample(spec: ProcessSpec, window: GraphWindow, seed: int) -> PointMultiset:
 
     if spec.kind != PERTURBED:
         raise ConfigurationError(f"unknown process kind {spec.kind!r}")
-    if spec.max_displacement > window.core_margin:
+    if not window.ball_ok(spec.max_displacement)[window.core].all():
         raise ConfigurationError(
             f"max displacement {spec.max_displacement} exceeds core margin "
             f"{window.core_margin}: core counts would be biased"

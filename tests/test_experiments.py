@@ -476,10 +476,8 @@ def test_discrepancy_reports_by_grown_size(tree3_d5):
 # ---------------------------------------------------------------------------
 
 
-def test_set_distance_and_rconnected():
+def test_is_rconnected():
     w = path_window(5)
-    assert experiments.set_distance(w, [0], [3]) == 3
-    assert experiments.set_distance(w, [0, 1], [3, 4]) == 2
     assert experiments.is_rconnected(w, [0, 2, 4], 2)
     assert not experiments.is_rconnected(w, [0, 2, 4], 1)
     assert not experiments.is_rconnected(w, [], 1)
@@ -496,6 +494,19 @@ def test_greedy_drops_small_bridge_set():
     assert res.pairwise_ok and res.gap_ok and res.endpoint_ok and res.bound_ok
     assert res.distance_uv == 9
     assert res.bound_value == 3 * 2 * 2 + 3 * 6
+
+
+def test_greedy_endpoint_check_reads_the_distance_to_the_kept_set():
+    # {0, 3, 6} meets the larger {9, ..., 12} within r = 3 and drops out;
+    # u = 0 then lies 9 from the one kept set, past |U| + r = 7, while
+    # u = 3 lies 6 from it and v = 12 inside it.
+    w = path_window(13)
+    sets = [[0, 3, 6], [9, 10, 11, 12]]
+    far = experiments.greedy_sparse_subpath(w, sets, 0, 12, 3)
+    assert far.selected == (1,) and not far.endpoint_ok
+    assert experiments.greedy_sparse_subpath(w, sets, 3, 12, 3).endpoint_ok
+    back = experiments.greedy_sparse_subpath(w, sets, 12, 0, 3)
+    assert back.selected == (1,) and not back.endpoint_ok
 
 
 def test_greedy_validation():

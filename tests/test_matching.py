@@ -65,31 +65,31 @@ def test_point_order_respects_vertex_rank():
 
 
 def test_chain_canonical_orientation():
-    g = two_pair_trace()
-    ranks = matching.point_order(g, np.arange(2, dtype=np.int64))
-    c = matching.canonical((3, 0), ranks)
-    assert c == (0, 3)
-    again = matching.canonical((0, 3), ranks)
-    assert again == c
+    # The key reads a chain from its endpoint of smaller rank, whichever
+    # end its tuple starts from.
+    g = bipartite.graph_from_point_edges([0, 1], [0, 1], [(0, 0), (1, 0), (1, 1)])
+    ranks = index_ranks(g)
+    assert matching.chain_key((3, 1, 2, 0), ranks) == (0, 3, 2, 1)
+    assert matching.chain_key((0, 2, 1, 3), ranks) == (0, 3, 2, 1)
+    assert matching.chain_key((3, 0), ranks) == matching.chain_key((0, 3), ranks)
 
 
 def test_chain_key_is_endpoint_first():
     g = two_pair_trace()
     ranks = matching.point_order(g, np.arange(2, dtype=np.int64))
-    short = matching.canonical((0, 2), ranks)  # L0-R0
+    short = (0, 2)  # L0-R0
     assert matching.chain_key(short, ranks) == (0, 1)
     # The length-3 detour L0-R1-L1-R0 shares endpoints 0..R0 only if
     # matched edges exist; here test pure key shape on a 1-edge chain.
-    cross = matching.canonical((0, 3), ranks)
+    cross = (0, 3)
     assert matching.chain_key(cross, ranks) == (0, 3)
     assert matching.chain_key(short, ranks) < matching.chain_key(cross, ranks)
 
 
 def test_find_chains_initial_singles():
     g = two_pair_trace()
-    ranks = matching.point_order(g, np.arange(2, dtype=np.int64))
     m = fresh(g)
-    chains = matching.find_chains(g, m, 4, ranks)
+    chains = matching.find_chains(g, m, 4)
     # All three edges are length-1 chains.
     assert sorted(chains) == [(0, 2), (0, 3), (1, 3)]
 
@@ -98,7 +98,7 @@ def test_select_minimal_blocks_overlaps():
     g = two_pair_trace()
     ranks = matching.point_order(g, np.arange(2, dtype=np.int64))
     m = fresh(g)
-    chains = matching.find_chains(g, m, 4, ranks)
+    chains = matching.find_chains(g, m, 4)
     picked = matching.select_minimal(chains, ranks)
     # (L0,R0) has the least key and blocks both other chains at shared
     # points; nothing else is locally minimal everywhere.
@@ -144,9 +144,8 @@ def test_overlap_cascade_resolves_across_sweeps():
 
 def test_flip_validates_alternation():
     g = two_pair_trace()
-    ranks = matching.point_order(g, np.arange(2, dtype=np.int64))
     m = fresh(g)
-    c = matching.canonical((0, 2), ranks)
+    c = (0, 2)
     matching.flip(m, c)
     assert m.matchL[0] == 0
     with pytest.raises(ContractViolationError):
@@ -166,11 +165,10 @@ def test_flip_rejects_repeated_points():
 
 def test_flip_unmakes_the_matched_edge_of_a_longer_chain():
     g = bipartite.graph_from_point_edges([0, 1], [0, 1], [(0, 0), (0, 1), (1, 1)])
-    ranks = index_ranks(g)
     m = fresh(g)
-    matching.flip(m, matching.canonical((0, 3), ranks))  # L0-R1
+    matching.flip(m, (0, 3))  # L0-R1
     # L1-R1-L0-R0: L0-R1 is unmade, L1-R1 and L0-R0 are made.
-    matching.flip(m, matching.canonical((1, 3, 0, 2), ranks))
+    matching.flip(m, (1, 3, 0, 2))
     assert m.matchL[0] == 0 and m.matchL[1] == 1
 
 
@@ -209,19 +207,16 @@ def test_shortest_chain_length_matches_exhaustive_search(seed, stages):
 def test_find_chains_matches_exhaustive_search(seed, max_len):
     # The distance cut in find_chains must not lose a chain.  A greedy
     # matching over a random edge order leaves chains of many lengths.
+    # Both searches read each chain from its unmatched left end.
     g = random_instance(seed, 12, 12, edge_prob=0.3)
-    ranks = seeded_ranks(g, seed)
     m = fresh(g)
     edges = [(i, int(j)) for i in range(g.n_left) for j in g.right_neighbors(i)]
     for k in np.random.default_rng(seed).permutation(len(edges)):
         i, j = edges[k]
         if m.matchL[i] == -1 and m.matchR[j] == -1:
             m.matchL[i], m.matchR[j] = j, i
-    found = matching.find_chains(g, m, max_len, ranks)
-    expected = [
-        matching.canonical(list(c), ranks)
-        for c in exhaustive_chains_below(g, m, max_len)
-    ]
+    found = matching.find_chains(g, m, max_len)
+    expected = exhaustive_chains_below(g, m, max_len)
     assert len(found) == len(set(found))
     assert sorted(found) == sorted(expected)
 
@@ -259,7 +254,7 @@ def test_find_chains_cap():
     with pytest.raises(
         ResourceError, match=r"more than 3 chains \(matcher\.chain_cap\)"
     ):
-        matching.find_chains(g, m, 4, index_ranks(g), cap=3)
+        matching.find_chains(g, m, 4, cap=3)
 
 
 def test_run_sweep_cap_diverges():
@@ -412,7 +407,7 @@ def line_instance(n, seed, reach=1.5):
 
 
 def generic_selection(g, m, ranks):
-    chains = matching.find_chains(g, m, 4, ranks)
+    chains = matching.find_chains(g, m, 4)
     return matching.select_minimal(chains, ranks)
 
 
@@ -683,9 +678,9 @@ def test_run_diverges_when_chains_remain_but_none_is_selected(monkeypatch):
 def test_select_minimal_rejects_duplicate_chains():
     g = two_pair_trace()
     ranks = index_ranks(g)
-    c = matching.canonical((0, 2), ranks)
+    # The same chain read from either end has one key.
     with pytest.raises(ContractViolationError, match="duplicate chain keys"):
-        matching.select_minimal([c, c], ranks)
+        matching.select_minimal([(0, 2), (2, 0)], ranks)
 
 
 def test_flip_rejects_a_step_that_stays_on_one_side():

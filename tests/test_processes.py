@@ -186,6 +186,20 @@ def test_displacement_respects_core_margin():
         processes.sample(processes.ProcessSpec.perturbed({2: 1.0}), w, 1)
 
 
+def test_explicit_window_takes_a_displacement_beyond_its_core_margin():
+    # An explicit window is the whole graph: every ball lies inside it,
+    # so no core margin is needed and no landing is lost.
+    n = 12
+    w = build_window(
+        GraphFamily.explicit([[(i - 1) % n, (i + 1) % n] for i in range(n)]),
+        0, 0,
+    )
+    pm = processes.sample(
+        processes.ProcessSpec.perturbed({0: 0.5, 1: 0.5}), w, derive("far")
+    )
+    assert pm.total == n and pm.discarded == 0
+
+
 def test_point_listing_invariants(tree3_d8):
     pm = processes.sample(processes.ProcessSpec.poisson(), tree3_d8, derive("pts"))
     assert pm.total == int(pm.counts.sum())
